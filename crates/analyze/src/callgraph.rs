@@ -341,6 +341,7 @@ impl CallGraph {
             by_name.entry(f.item.name.as_str()).or_default().push(i);
         }
         let reachable = reachable_crates(ws);
+        let imported = imported_types(ws, &crate_of, &parsed, &crate_idents);
         let mut sites = Vec::new();
         for (fi, file) in ws.files.iter().enumerate() {
             extract_sites(
@@ -350,6 +351,7 @@ impl CallGraph {
                 &fns,
                 &by_name,
                 &crate_idents,
+                &imported,
                 &reachable,
                 &mut sites,
             );
@@ -461,6 +463,40 @@ fn reachable_crates(ws: &Workspace) -> BTreeMap<String, BTreeSet<String>> {
     out
 }
 
+/// Names a crate imports from another workspace crate, keyed by
+/// (importing crate ident, alias) → full path. `pub use
+/// mp_relation::AttrSet;` in mp-metadata maps `(mp_metadata, AttrSet)` to
+/// `mp_relation::AttrSet`, so `mp_metadata::AttrSet::single` resolves
+/// where the type is defined. Test files contribute nothing.
+type Imported = BTreeMap<(String, String), Vec<String>>;
+
+fn imported_types(
+    ws: &Workspace,
+    crate_of: &BTreeMap<usize, (String, String)>,
+    parsed: &[ParsedFile],
+    crate_idents: &[String],
+) -> Imported {
+    let mut out = Imported::new();
+    for (fi, pf) in parsed.iter().enumerate() {
+        let Some((_, ident)) = crate_of.get(&fi) else {
+            continue;
+        };
+        if ws.files[fi].role == FileRole::Test {
+            continue;
+        }
+        for u in pf.uses.iter().filter(|u| !u.glob) {
+            if u.path
+                .first()
+                .is_some_and(|root| root != ident && crate_idents.contains(root))
+            {
+                out.entry((ident.clone(), u.alias.clone()))
+                    .or_insert_with(|| u.path.clone());
+            }
+        }
+    }
+    out
+}
+
 /// Module path a file contributes by position: path segments after `src/`
 /// minus the file stem for `lib.rs`/`main.rs`/`mod.rs`.
 fn file_module(rel_path: &str) -> Vec<String> {
@@ -492,6 +528,7 @@ fn extract_sites(
     fns: &[FnNode],
     by_name: &BTreeMap<&str, Vec<usize>>,
     crate_idents: &[String],
+    imported: &Imported,
     reachable: &BTreeMap<String, BTreeSet<String>>,
     sites: &mut Vec<CallSite>,
 ) {
@@ -577,7 +614,7 @@ fn extract_sites(
             .map(|s| s.trim_start_matches("r#").to_owned())
             .collect();
         let caller_node = &fns[caller];
-        match resolve_path(&segs, caller_node, pf, fns, by_name, crate_idents) {
+        match resolve_path(&segs, caller_node, pf, fns, by_name, crate_idents, imported) {
             Resolution::External => {}
             Resolution::Fns(targets) => sites.push(CallSite {
                 caller,
@@ -616,6 +653,7 @@ fn resolve_path(
     fns: &[FnNode],
     by_name: &BTreeMap<&str, Vec<usize>>,
     crate_idents: &[String],
+    imported: &Imported,
 ) -> Resolution {
     // Expand the leading segment through the file's imports.
     let mut path: Vec<String> = Vec::new();
@@ -664,7 +702,7 @@ fn resolve_path(
             if tail.is_empty() {
                 return Resolution::External; // bare crate name is not a call
             }
-            return resolve_in_crate(&target_crate, tail, fns, &display);
+            return resolve_in_crate(&target_crate, tail, fns, imported, &display);
         }
         if root == "Self" {
             let tail: Vec<String> = {
@@ -672,7 +710,7 @@ fn resolve_path(
                 t.extend(path[1..].iter().cloned());
                 t
             };
-            return resolve_in_crate(&caller.crate_ident, &tail, fns, &display);
+            return resolve_in_crate(&caller.crate_ident, &tail, fns, imported, &display);
         }
         if path.len() == 1 {
             // Bare call: same crate, same module, free function — otherwise
@@ -721,9 +759,9 @@ fn resolve_path(
         }
         // Lowercase multi-segment rooted at neither a crate nor an import:
         // try it as a module path in the caller's crate.
-        return resolve_in_crate(&caller.crate_ident, &path, fns, &display);
+        return resolve_in_crate(&caller.crate_ident, &path, fns, imported, &display);
     }
-    resolve_in_crate(&caller.crate_ident, &path, fns, &display)
+    resolve_in_crate(&caller.crate_ident, &path, fns, imported, &display)
 }
 
 impl FnNode {
@@ -735,11 +773,13 @@ impl FnNode {
 /// Suffix-matches `tail` against the functions of `crate_ident`: the last
 /// segment is the function name; an uppercase second-to-last segment must
 /// match the impl owner, any remaining lowercase segments must be a
-/// suffix-compatible module path. No match ⇒ pessimistic.
+/// suffix-compatible module path. An owner the crate imports from another
+/// workspace crate is looked up there. No match ⇒ pessimistic.
 fn resolve_in_crate(
     crate_ident: &str,
     tail: &[String],
     fns: &[FnNode],
+    imported: &Imported,
     display: &str,
 ) -> Resolution {
     let Some(name) = tail.last() else {
@@ -755,11 +795,41 @@ fn resolve_in_crate(
     } else {
         None
     };
-    let mods: &[String] = match owner {
-        Some(_) => &tail[..tail.len() - 2],
-        None => &tail[..tail.len() - 1],
+    let targets = defined_in(crate_ident, tail, owner, fns);
+    if !targets.is_empty() {
+        return Resolution::Fns(targets);
+    }
+    if let Some(targets) = owner.and_then(|o| follow_import(crate_ident, o, name, fns, imported)) {
+        return Resolution::Fns(targets);
+    }
+    // A `Self::name` fallback across owners: method with that name in
+    // the crate (the owner segment may be a type alias we can't see).
+    let loose: Vec<usize> = (0..fns.len())
+        .filter(|&t| fns[t].crate_ident == crate_ident && fns[t].item.name == *name)
+        .collect();
+    if loose.is_empty() {
+        return Resolution::Unresolved(display.to_owned());
+    }
+    Resolution::Fns(loose)
+}
+
+/// The functions of `crate_ident` matching `tail` exactly (see
+/// [`resolve_in_crate`]); `owner` is `tail`'s uppercase second-to-last
+/// segment, if any.
+fn defined_in(
+    crate_ident: &str,
+    tail: &[String],
+    owner: Option<&str>,
+    fns: &[FnNode],
+) -> Vec<usize> {
+    let Some((name, rest)) = tail.split_last() else {
+        return Vec::new();
     };
-    let targets: Vec<usize> = (0..fns.len())
+    let mods: &[String] = match owner {
+        Some(_) => rest.split_last().map_or(rest, |(_, m)| m),
+        None => rest,
+    };
+    (0..fns.len())
         .filter(|&t| {
             let f = &fns[t];
             f.crate_ident == crate_ident
@@ -770,19 +840,32 @@ fn resolve_in_crate(
                 }
                 && mods.iter().all(|m| f.module.iter().any(|fm| fm == m))
         })
-        .collect();
-    if targets.is_empty() {
-        // A `Self::name` fallback across owners: method with that name in
-        // the crate (the owner segment may be a type alias we can't see).
-        let loose: Vec<usize> = (0..fns.len())
-            .filter(|&t| fns[t].crate_ident == crate_ident && fns[t].item.name == *name)
-            .collect();
-        if loose.is_empty() {
-            return Resolution::Unresolved(display.to_owned());
+        .collect()
+}
+
+/// Resolves `owner::name` through the imports of `crate_ident`, one
+/// crate per hop, until a crate defines it. At most one hop per import,
+/// so a tree that imports in a cycle still terminates.
+fn follow_import(
+    crate_ident: &str,
+    owner: &str,
+    name: &str,
+    fns: &[FnNode],
+    imported: &Imported,
+) -> Option<Vec<usize>> {
+    let mut key = (crate_ident.to_owned(), owner.to_owned());
+    for _ in 0..imported.len() {
+        let (root, rest) = imported.get(&key)?.split_first()?;
+        let owner = rest.last()?;
+        let mut tail = rest.to_vec();
+        tail.push(name.to_owned());
+        let targets = defined_in(root, &tail, Some(owner), fns);
+        if !targets.is_empty() {
+            return Some(targets);
         }
-        return Resolution::Fns(loose);
+        key = (root.clone(), owner.clone());
     }
-    Resolution::Fns(targets)
+    None
 }
 
 /// True when the file is test-only from the graph's point of view.
@@ -954,6 +1037,45 @@ mod tests {
         ));
         let f = find_fn(&g, "mp_alpha::f");
         assert_eq!(callees_of_fn(&g, f), vec!["?missing::ghost"]);
+    }
+
+    #[test]
+    fn re_exported_types_resolve_in_the_defining_crate() {
+        // mp-beta defines `Set`; mp-alpha re-exports it; mp-gamma calls
+        // it through the re-export, and mp-alpha through `crate::`.
+        let (am_p, mut am_t) = manifest("crates/alpha", "mp-alpha");
+        am_t.push_str("\n[dependencies]\nmp-beta = { path = \"../beta\" }\n");
+        let (bm_p, bm_t) = manifest("crates/beta", "mp-beta");
+        let (gm_p, mut gm_t) = manifest("crates/gamma", "mp-gamma");
+        gm_t.push_str("\n[dependencies]\nmp-alpha = { path = \"../alpha\" }\n");
+        let g = CallGraph::build(&ws(
+            &[
+                (
+                    "crates/alpha/src/lib.rs",
+                    "pub use mp_beta::Set;\npub fn own() { crate::Set::single(1); }\n",
+                ),
+                (
+                    "crates/beta/src/lib.rs",
+                    "pub struct Set;\nimpl Set {\n    pub fn single(a: u8) -> Set { Set }\n}\n",
+                ),
+                (
+                    "crates/gamma/src/lib.rs",
+                    "pub fn via() { mp_alpha::Set::single(2); }\npub fn ghost() { mp_alpha::Set::gone(); }\n",
+                ),
+            ],
+            &[(&am_p, &am_t), (&bm_p, &bm_t), (&gm_p, &gm_t)],
+        ));
+        for caller in ["mp_alpha::own", "mp_gamma::via"] {
+            let f = find_fn(&g, caller);
+            assert_eq!(
+                callees_of_fn(&g, f),
+                vec!["mp_beta::Set::single"],
+                "{caller}"
+            );
+        }
+        // A method the defining crate lacks stays pessimistic.
+        let f = find_fn(&g, "mp_gamma::ghost");
+        assert_eq!(callees_of_fn(&g, f), vec!["?mp_alpha::Set::gone"]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! fact — which is part of the byte-stability contract.
 
 use crate::facts::CrateCounts;
+use mp_observe::json_string;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -177,27 +178,6 @@ impl Report {
     }
 }
 
-/// Escapes `s` as a JSON string literal.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,11 +252,5 @@ mod tests {
         assert!(r.is_clean());
         assert!(r.render_json().contains("\"violations\": []"));
         assert!(r.render_json().contains("\"facts\": {}"));
-    }
-
-    #[test]
-    fn json_string_control_chars() {
-        assert_eq!(json_string("a\u{1}b"), "\"a\\u0001b\"");
-        assert_eq!(json_string("tab\there"), "\"tab\\there\"");
     }
 }

@@ -1,9 +1,9 @@
-//! End-to-end million-row scale bench: streaming ingest → sharded PLI
-//! build → memory-bounded depth-2 discovery.
+//! End-to-end million-row scale bench: streaming ingest → PLI build →
+//! memory-bounded depth-2 discovery.
 //!
 //! Generates the planted 7-column scale relation, round-trips it through
-//! the streaming CSV path (asserting bit-identical ingest), times
-//! single-pass vs sharded PLI construction, then runs a depth-2 TANE pass
+//! the streaming CSV path (asserting bit-identical ingest), times the
+//! single-column PLI builds, then runs a depth-2 TANE pass
 //! under a fixed [`MemoryBudget`] (cached) and uncached, asserting both
 //! produce the same FDs. Writes `BENCH_scale.json` at the repo root —
 //! the scale companion to `BENCH_columnar.json`.
@@ -12,7 +12,6 @@
 
 use mp_discovery::{discover_fds_with, DiscoveryContext, MemoryBudget, ParallelConfig, TaneConfig};
 use mp_relation::csv::{read_path, write_str_with, CsvOptions};
-use mp_relation::par::effective_threads;
 use mp_relation::Pli;
 use std::time::Instant;
 
@@ -65,25 +64,13 @@ fn main() {
         ingest_rows_per_sec
     );
 
-    // Single-pass vs sharded PLI build over every column.
-    let shards = effective_threads(0).min(16);
+    // Single-column PLI build over every column.
     let t = Instant::now();
-    let singles: Vec<Pli> = (0..rel.arity())
+    let plis: Vec<Pli> = (0..rel.arity())
         .map(|a| Pli::from_typed(rel.column(a).expect("column in range")))
         .collect();
     let pli_single_ms = t.elapsed().as_secs_f64() * 1e3;
-    let t = Instant::now();
-    let shardeds: Vec<Pli> = (0..rel.arity())
-        .map(|a| Pli::from_typed_sharded(rel.column(a).expect("column in range"), shards))
-        .collect();
-    let pli_sharded_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(
-        singles, shardeds,
-        "sharded PLI builds must be bit-identical"
-    );
-    println!(
-        "pli build: single {pli_single_ms:.1} ms, sharded({shards}) {pli_sharded_ms:.1} ms, bit-identical"
-    );
+    println!("pli build: {} columns in {pli_single_ms:.1} ms", plis.len());
 
     // Depth-2 discovery under a fixed memory budget (cached) vs uncached.
     let config = TaneConfig {
@@ -122,7 +109,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"scale\",\n  \"rows\": {rows},\n  \"ingest_rows_per_sec\": {ingest_rows_per_sec:.0},\n  \"pli_build_single_ms\": {pli_single_ms:.1},\n  \"pli_build_sharded_ms\": {pli_sharded_ms:.1},\n  \"shards\": {shards},\n  \"discovery_cached_ms\": {discovery_cached_ms:.1},\n  \"discovery_uncached_ms\": {discovery_uncached_ms:.1},\n  \"budget_mb\": {budget_mb},\n  \"fds\": {}\n}}\n",
+        "{{\n  \"bench\": \"scale\",\n  \"rows\": {rows},\n  \"ingest_rows_per_sec\": {ingest_rows_per_sec:.0},\n  \"pli_build_single_ms\": {pli_single_ms:.1},\n  \"discovery_cached_ms\": {discovery_cached_ms:.1},\n  \"discovery_uncached_ms\": {discovery_uncached_ms:.1},\n  \"budget_mb\": {budget_mb},\n  \"fds\": {}\n}}\n",
         cached.len()
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");

@@ -58,7 +58,7 @@ pub fn profile_observed(
         .map_err(|e| e.to_string())?;
     let stats = ctx.cache_stats();
     let mut out = format!(
-        "{} rows × {} attributes\n{} FDs, {} AFDs, {} ODs, {} NDs, {} DDs, {} OFDs\nPLI cache: {} ({} threads)\n\n",
+        "{} rows × {} attributes\n{} FDs, {} AFDs, {} ODs, {} NDs, {} DDs, {} OFDs\nPLI cache: {}\n\n",
         relation.n_rows(),
         relation.arity(),
         profile.fds.len(),
@@ -68,7 +68,6 @@ pub fn profile_observed(
         profile.dds.len(),
         profile.ofds.len(),
         stats,
-        ctx.threads(),
     );
     let names: Vec<String> = relation
         .schema()

@@ -9,10 +9,16 @@ fn mpriv() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mpriv"))
 }
 
-fn demo_csv() -> PathBuf {
-    let dir = std::env::temp_dir().join("mpriv-e2e");
+/// A directory of the test's own, so tests running in parallel never
+/// read a file a sibling is rewriting.
+fn test_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("mpriv-e2e").join(test);
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("demo.csv");
+    dir
+}
+
+fn demo_csv(test: &str) -> PathBuf {
+    let path = test_dir(test).join("demo.csv");
     std::fs::write(
         &path,
         "name,age,dept\nalice,18,sales\nbob,22,cs\ncarol,22,sales\ndan,26,mgmt\n",
@@ -32,7 +38,11 @@ fn help_succeeds() {
 
 #[test]
 fn profile_runs_on_csv() {
-    let out = mpriv().arg("profile").arg(demo_csv()).output().unwrap();
+    let out = mpriv()
+        .arg("profile")
+        .arg(demo_csv("profile_runs_on_csv"))
+        .output()
+        .unwrap();
     assert!(
         out.status.success(),
         "{}",
@@ -47,7 +57,7 @@ fn profile_runs_on_csv() {
 fn profile_accepts_memory_budget() {
     let out = mpriv()
         .arg("profile")
-        .arg(demo_csv())
+        .arg(demo_csv("profile_accepts_memory_budget"))
         .args(["--budget-mb", "1"])
         .output()
         .unwrap();
@@ -65,7 +75,7 @@ fn profile_accepts_memory_budget() {
 fn audit_with_options() {
     let out = mpriv()
         .args(["audit"])
-        .arg(demo_csv())
+        .arg(demo_csv("audit_with_options"))
         .args(["--policy", "domains", "--rounds", "20", "--epsilon", "1"])
         .output()
         .unwrap();
@@ -77,10 +87,10 @@ fn audit_with_options() {
 
 #[test]
 fn anonymize_writes_output_file() {
-    let out_path = std::env::temp_dir().join("mpriv-e2e").join("anon.csv");
+    let out_path = test_dir("anonymize_writes_output_file").join("anon.csv");
     let out = mpriv()
         .arg("anonymize")
-        .arg(demo_csv())
+        .arg(demo_csv("anonymize_writes_output_file"))
         .args(["--qi", "1", "--k", "2", "--out"])
         .arg(&out_path)
         .output()

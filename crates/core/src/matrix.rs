@@ -25,7 +25,7 @@
 //! [`mp_relation::par::par_map`]).
 
 use mp_metadata::{Dependency, MetadataPackage, SharePolicy};
-use mp_observe::Recorder;
+use mp_observe::{json_string, Recorder};
 use mp_relation::par::par_map;
 use mp_relation::{AttrKind, Column, Relation, RelationError, Result};
 use mp_synth::{Adversary, AdversaryModel, SynthConfig};
@@ -527,18 +527,15 @@ impl LeakageMatrix {
             }
             out.push_str("\n    {");
             out.push_str(&format!(
-                "\"adversary\": \"{}\", ",
-                escape_json(&cell.adversary)
+                "\"adversary\": {}, ",
+                json_string(&cell.adversary)
             ));
             out.push_str(&format!(
                 "\"analytical\": {}, ",
                 format_float(cell.analytical)
             ));
             out.push_str(&format!("\"class\": \"{}\", ", cell.class));
-            out.push_str(&format!(
-                "\"dataset\": \"{}\", ",
-                escape_json(&cell.dataset)
-            ));
+            out.push_str(&format!("\"dataset\": {}, ", json_string(&cell.dataset)));
             out.push_str(&format!(
                 "\"delta_vs_random\": {}, ",
                 format_float(cell.delta_vs_random)
@@ -549,8 +546,8 @@ impl LeakageMatrix {
             ));
             out.push_str(&format!("\"leaks\": {}, ", cell.leaks));
             out.push_str(&format!(
-                "\"mitigation\": \"{}\", ",
-                escape_json(cell.mitigation)
+                "\"mitigation\": {}, ",
+                json_string(cell.mitigation)
             ));
             out.push_str(&format!("\"n_deps\": {}, ", cell.n_deps));
             out.push_str(&format!("\"policy\": \"{}\", ", cell.policy));
@@ -624,23 +621,6 @@ fn format_float(x: f64) -> String {
     } else {
         s
     }
-}
-
-/// Minimal JSON string escaping for the label/mitigation strings.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -836,13 +816,6 @@ mod tests {
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(perm, (0..100).collect::<Vec<_>>(), "shuffled, not identity");
         assert_eq!(perm, alignment_permutation("tiny", 100), "deterministic");
-    }
-
-    #[test]
-    fn escape_json_handles_specials() {
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("x\ny"), "x\\ny");
-        assert_eq!(escape_json("plain"), "plain");
     }
 
     #[test]

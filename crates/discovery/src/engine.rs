@@ -9,9 +9,8 @@
 //! partitions already built, and to a [`ParallelConfig`] so passes fan
 //! candidate evaluation out over scoped worker threads.
 
-use mp_metadata::AttrSet;
 use mp_observe::{Counter, NoopRecorder, Recorder};
-use mp_relation::{par, Pli, PliCache, PliCacheStats, Relation, Result};
+use mp_relation::{par, AttrSet, Pli, PliCache, PliCacheStats, Relation, Result};
 use std::sync::Arc;
 
 /// Thread and cache budget for a discovery run.
@@ -29,10 +28,6 @@ pub struct ParallelConfig {
     pub threads: usize,
     /// Maximum number of memoized partitions (`0` = no caching).
     pub cache_capacity: usize,
-    /// Radix shards for single-column PLI construction (`0` = auto:
-    /// sharded on large relations, single-pass on small ones; `1` =
-    /// always single-pass).
-    pub pli_shards: usize,
     /// Byte budget for memoized partitions (`0` = unlimited): the cache
     /// evicts by estimated retained heap ([`Pli::heap_bytes`]) on top of
     /// the entry-count bound. Usually set via [`MemoryBudget`] and
@@ -45,7 +40,6 @@ impl Default for ParallelConfig {
         Self {
             threads: 0,
             cache_capacity: 4096,
-            pli_shards: 0,
             cache_budget_bytes: 0,
         }
     }
@@ -58,7 +52,6 @@ impl ParallelConfig {
         Self {
             threads: 1,
             cache_capacity: 4096,
-            pli_shards: 1,
             cache_budget_bytes: 0,
         }
     }
@@ -77,15 +70,6 @@ impl ParallelConfig {
         par::effective_threads(self.threads)
     }
 }
-
-/// Rows below which auto shard resolution stays single-pass: sharding
-/// overhead (per-shard counting scans) only pays off once the scatter
-/// phase dominates.
-const AUTO_SHARD_MIN_ROWS: usize = 65_536;
-
-/// Upper bound on auto-resolved shards; beyond this the per-shard
-/// counting scans outweigh the extra parallelism.
-const AUTO_SHARD_MAX: usize = 16;
 
 /// A memory budget for discovery, in bytes of estimated retained
 /// partition heap (`0` = unlimited).
@@ -145,16 +129,10 @@ pub struct DiscoveryContext<'r> {
     /// Resolved once at construction; bumped (with a 1-unit clock
     /// advance) for every partition actually materialised.
     pli_builds: Counter,
-    /// Single-column partitions built through the sharded path.
-    sharded_builds: Counter,
 }
 
 impl<'r> DiscoveryContext<'r> {
     /// Binds `relation` to a fresh cache sized by `parallel`.
-    ///
-    /// Relations wider than 64 attributes cannot be keyed by a `u64`
-    /// bitset; their context degrades to an always-miss cache (capacity
-    /// forced to 0) and discovery still works, just without memoization.
     pub fn new(relation: &'r Relation, parallel: ParallelConfig) -> Self {
         Self::instrumented(relation, parallel, Arc::new(NoopRecorder))
     }
@@ -193,21 +171,15 @@ impl<'r> DiscoveryContext<'r> {
         parallel: ParallelConfig,
         recorder: Arc<dyn Recorder>,
     ) -> Self {
-        let capacity = if relation.arity() > 64 {
-            0
-        } else {
-            parallel.cache_capacity
-        };
         DiscoveryContext {
             relation,
             cache: PliCache::with_recorder_and_budget(
-                capacity,
+                parallel.cache_capacity,
                 parallel.cache_budget_bytes,
                 recorder.as_ref(),
             ),
             parallel,
             pli_builds: recorder.counter("discovery.pli.builds"),
-            sharded_builds: recorder.counter("discovery.pli.sharded_builds"),
             recorder,
         }
     }
@@ -255,39 +227,17 @@ impl<'r> DiscoveryContext<'r> {
         par::par_map(items, self.parallel.threads, f)
     }
 
-    /// The resolved radix shard count for single-column PLI builds:
-    /// explicit when `parallel.pli_shards > 0`, otherwise sharded across
-    /// the thread budget on relations large enough to amortise the
-    /// per-shard scans.
-    pub fn pli_shards(&self) -> usize {
-        if self.parallel.pli_shards > 0 {
-            self.parallel.pli_shards
-        } else if self.relation.n_rows() >= AUTO_SHARD_MIN_ROWS {
-            self.parallel.effective_threads().min(AUTO_SHARD_MAX)
-        } else {
-            1
-        }
-    }
-
-    /// The single-attribute partition `Π_{a}`, memoized. Built through
-    /// the radix-sharded path when [`pli_shards`](Self::pli_shards)
-    /// resolves above 1 — bit-identical output either way.
+    /// The single-attribute partition `Π_{a}`, memoized.
     pub fn pli_of_single(&self, attr: usize) -> Result<Arc<Pli>> {
-        let key = 1u64 << (attr.min(63));
+        let key = AttrSet::single(attr);
         if self.cacheable() {
-            if let Some(pli) = self.cache.get(key) {
+            if let Some(pli) = self.cache.get(&key) {
                 return Ok(pli);
             }
         }
-        let shards = self.pli_shards();
-        let pli = if shards > 1 {
-            self.sharded_builds.inc();
-            Pli::from_typed_sharded(self.relation.column(attr)?, shards)
-        } else {
-            Pli::from_typed(self.relation.column(attr)?)
-        };
+        let pli = Pli::from_typed(self.relation.column(attr)?);
         self.note_build();
-        Ok(self.store(key, pli))
+        Ok(self.cache.insert(key, pli))
     }
 
     /// The partition `Π_X` for an attribute set, memoized.
@@ -317,8 +267,7 @@ impl<'r> DiscoveryContext<'r> {
             }
             return Ok(Arc::new(pli));
         }
-        let key = self.key_of(set);
-        if let Some(pli) = self.cache.get(key) {
+        if let Some(pli) = self.cache.get(set) {
             return Ok(pli);
         }
         let last = set.iter().last().unwrap_or(first);
@@ -327,7 +276,7 @@ impl<'r> DiscoveryContext<'r> {
         let b = self.pli_of_single(last)?;
         let pli = a.intersect(&b);
         self.note_build();
-        Ok(self.store(key, pli))
+        Ok(self.cache.insert(set.clone(), pli))
     }
 
     /// `g3` violation count of `lhs → rhs` against a precomputed RHS full
@@ -337,19 +286,7 @@ impl<'r> DiscoveryContext<'r> {
     }
 
     fn cacheable(&self) -> bool {
-        self.cache.capacity() > 0 && self.relation.arity() <= 64
-    }
-
-    fn key_of(&self, set: &AttrSet) -> u64 {
-        set.iter().fold(0u64, |acc, a| acc | (1u64 << a.min(63)))
-    }
-
-    fn store(&self, key: u64, pli: Pli) -> Arc<Pli> {
-        if self.cacheable() {
-            self.cache.insert(key, pli)
-        } else {
-            Arc::new(pli)
-        }
+        self.cache.capacity() > 0
     }
 }
 
@@ -454,51 +391,6 @@ mod tests {
         let stats = ctx.cache_stats();
         assert_eq!(stats.budget_bytes, 256);
         assert!(stats.bytes <= 256, "resident {} > budget", stats.bytes);
-    }
-
-    #[test]
-    fn forced_sharding_produces_identical_partitions() {
-        let r = employee();
-        let sharded_ctx = DiscoveryContext::new(
-            &r,
-            ParallelConfig {
-                pli_shards: 7,
-                ..ParallelConfig::default()
-            },
-        );
-        assert_eq!(sharded_ctx.pli_shards(), 7);
-        let plain_ctx = DiscoveryContext::new(&r, ParallelConfig::sequential());
-        assert_eq!(plain_ctx.pli_shards(), 1);
-        for a in 0..r.arity() {
-            assert_eq!(
-                *sharded_ctx.pli_of_single(a).unwrap(),
-                *plain_ctx.pli_of_single(a).unwrap(),
-                "attr {a}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_builds_counter_is_reported() {
-        use mp_observe::Registry;
-        let r = employee();
-        let registry = Arc::new(Registry::new());
-        let ctx = DiscoveryContext::instrumented(
-            &r,
-            ParallelConfig {
-                pli_shards: 4,
-                ..ParallelConfig::default()
-            },
-            registry.clone(),
-        );
-        for a in 0..r.arity() {
-            ctx.pli_of_single(a).unwrap();
-        }
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counters["discovery.pli.sharded_builds"],
-            r.arity() as u64
-        );
     }
 
     #[test]

@@ -39,31 +39,19 @@ impl Default for TaneConfig {
     }
 }
 
-/// Bitset over attributes; schemas are capped at 64 attributes, far above
-/// the paper-scale relations this workspace targets.
-type Bits = u64;
-
-fn bit(a: usize) -> Bits {
-    1u64 << a
-}
-
-fn set_to_bits(s: &AttrSet) -> Bits {
-    s.iter().fold(0, |acc, a| acc | bit(a))
-}
-
 /// One lattice node: its `C⁺` candidate set plus the only fact the
 /// traversal needs from the set's partition — whether it is a superkey.
 ///
 /// Deliberately does *not* pin an `Arc<Pli>`: partitions live solely in
 /// the context's (byte-budgeted) cache, so a whole lattice level retains
-/// a few machine words per node instead of `O(n_rows)` each. Under
+/// `O(arity)` words per node instead of `O(n_rows)` each. Under
 /// memory pressure the cache spills partitions and the memoized
 /// intersection chain rebuilds them on demand — that spill/rebuild is
 /// what keeps million-row traversals inside a fixed [`MemoryBudget`]
 /// (`crate::MemoryBudget`).
 struct Node {
     is_key: bool,
-    cplus: Bits,
+    cplus: AttrSet,
 }
 
 /// Discovers the minimal non-trivial FDs of `relation` with LHS size up to
@@ -80,8 +68,7 @@ struct Node {
 /// [`discover_fds_with`].
 ///
 /// # Errors
-/// Propagates column-access errors; relations wider than 64 attributes are
-/// rejected via `RelationError::IndexOutOfBounds`.
+/// Propagates column-access errors.
 pub fn discover_fds(relation: &Relation, config: &TaneConfig) -> Result<Vec<Fd>> {
     let ctx = DiscoveryContext::new(relation, config.parallel);
     discover_fds_with(&ctx, config)
@@ -98,11 +85,8 @@ pub fn discover_fds(relation: &Relation, config: &TaneConfig) -> Result<Vec<Fd>>
 pub fn discover_fds_with(ctx: &DiscoveryContext<'_>, config: &TaneConfig) -> Result<Vec<Fd>> {
     let relation = ctx.relation();
     let m = relation.arity();
-    if m > 64 {
-        return Err(mp_relation::RelationError::IndexOutOfBounds { index: m, len: 64 });
-    }
     let n = relation.n_rows();
-    let all: Bits = if m == 64 { !0 } else { bit(m) - 1 };
+    let all = AttrSet::from_iter(0..m);
     let mut results: Vec<Fd> = Vec::new();
     if m == 0 || n == 0 {
         return Ok(results);
@@ -120,7 +104,7 @@ pub fn discover_fds_with(ctx: &DiscoveryContext<'_>, config: &TaneConfig) -> Res
             AttrSet::single(a),
             Node {
                 is_key: pli.is_key(),
-                cplus: all,
+                cplus: all.clone(),
             },
         );
     }
@@ -139,13 +123,14 @@ pub fn discover_fds_with(ctx: &DiscoveryContext<'_>, config: &TaneConfig) -> Res
     let unit = Pli::unit(n);
     // ∅ → A holds iff column A is constant; handle as level-0 so level-1
     // pruning is correct.
-    let mut constant_attrs: Bits = 0;
+    let mut constant_attrs = Vec::new();
     for (a, sig) in rhs_sigs.iter().enumerate() {
         if unit.g3_violations(sig) <= threshold_violations {
             results.push(Fd::new(AttrSet::empty(), a));
-            constant_attrs |= bit(a);
+            constant_attrs.push(a);
         }
     }
+    let constant_attrs = AttrSet::from(constant_attrs);
 
     // Level ℓ holds attribute sets of size ℓ and tests FDs with LHS size
     // ℓ − 1, so discovering FDs with |LHS| ≤ max_lhs needs ℓ up to
@@ -161,18 +146,18 @@ pub fn discover_fds_with(ctx: &DiscoveryContext<'_>, config: &TaneConfig) -> Res
 
         // Phase 1 — candidate tests, in parallel over lattice nodes. Each
         // node's test reads only its own `C⁺` and the shared PLI cache.
-        let tested: Vec<Result<(Bits, Vec<Fd>)>> = ctx.par_map(keys.clone(), |x| {
+        let tested: Vec<Result<(AttrSet, Vec<Fd>)>> = ctx.par_map(keys.clone(), |x| {
             // C⁺(X) = ∩_{A∈X} C⁺(X \ {A}) was folded in during generation;
             // at level 1 it is `all` minus constants found at level 0.
-            let x_bits = set_to_bits(&x);
-            let mut cplus = level[&x].cplus;
-            if depth == 1 {
-                cplus &= !constant_attrs;
-            }
+            let mut cplus = if depth == 1 {
+                level[&x].cplus.difference(&constant_attrs)
+            } else {
+                level[&x].cplus.clone()
+            };
             let mut found = Vec::new();
             // Candidates to test: A ∈ X ∩ C⁺(X).
             for a in x.iter() {
-                if cplus & bit(a) == 0 {
+                if !cplus.contains(a) {
                     continue;
                 }
                 candidates_tested.inc();
@@ -185,8 +170,7 @@ pub fn discover_fds_with(ctx: &DiscoveryContext<'_>, config: &TaneConfig) -> Res
                 if violations <= threshold_violations {
                     found.push(Fd::new(lhs, a));
                     // Prune: remove A and all attributes outside X from C⁺(X).
-                    cplus &= !bit(a);
-                    cplus &= x_bits;
+                    cplus = cplus.intersection(&x).without(a);
                 }
             }
             Ok((cplus, found))
@@ -211,14 +195,9 @@ pub fn discover_fds_with(ctx: &DiscoveryContext<'_>, config: &TaneConfig) -> Res
             if !node.is_key {
                 return Ok(None);
             }
-            let x_bits = set_to_bits(&x);
-            let cplus = node.cplus;
             let mut emitted = Vec::new();
             if x.len() <= config.max_lhs {
-                let mut a_bits = cplus & !x_bits;
-                while a_bits != 0 {
-                    let a = a_bits.trailing_zeros() as usize;
-                    a_bits &= a_bits - 1;
+                for a in node.cplus.difference(&x).iter() {
                     let mut minimal = true;
                     for b in x.iter() {
                         let sub = x.without(b);
@@ -251,13 +230,13 @@ pub fn discover_fds_with(ctx: &DiscoveryContext<'_>, config: &TaneConfig) -> Res
         }
 
         // Phase 3 — generate the next level. The prefix joins and C⁺
-        // intersections are cheap bit work (sequential); the child PLIs —
+        // intersections are cheap set work (sequential); the child PLIs —
         // the expensive part — are built in parallel through the cache,
         // which turns each into a single intersection with the memoized
         // parent partition.
         let mut names: Vec<&AttrSet> = level.keys().collect();
         names.sort();
-        let mut joins: Vec<(AttrSet, Bits)> = Vec::new();
+        let mut joins: Vec<(AttrSet, AttrSet)> = Vec::new();
         let mut seen: HashSet<AttrSet> = HashSet::new();
         for i in 0..names.len() {
             for j in (i + 1)..names.len() {
@@ -270,20 +249,23 @@ pub fn discover_fds_with(ctx: &DiscoveryContext<'_>, config: &TaneConfig) -> Res
                 if seen.contains(&union) {
                     continue;
                 }
-                // All subsets of size `depth` must be present (apriori).
-                let mut cplus = level[a].cplus & level[b].cplus;
-                let mut ok = true;
-                for attr in union.iter() {
-                    let sub = union.without(attr);
-                    match level.get(&sub) {
-                        Some(node) => cplus &= node.cplus,
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok || cplus == 0 {
+                // All subsets of size `depth` must be present (apriori);
+                // C⁺ of the union is the intersection of theirs, `a` and
+                // `b` included.
+                let Some(subs) = union
+                    .iter()
+                    .map(|attr| level.get(&union.without(attr)))
+                    .collect::<Option<Vec<&Node>>>()
+                else {
+                    continue;
+                };
+                let cplus = AttrSet::from_iter(
+                    level[a]
+                        .cplus
+                        .iter()
+                        .filter(|&c| subs.iter().all(|sub| sub.cplus.contains(c))),
+                );
+                if cplus.is_empty() {
                     continue;
                 }
                 seen.insert(union.clone());
@@ -576,12 +558,6 @@ mod tests {
             },
             ParallelConfig::uncached(4),
             ParallelConfig::uncached(1),
-            // Forced sharded single-column builds.
-            ParallelConfig {
-                threads: 4,
-                pli_shards: 7,
-                ..ParallelConfig::default()
-            },
             // Starved byte budget: every level spills and rebuilds.
             ParallelConfig {
                 threads: 2,
@@ -592,7 +568,6 @@ mod tests {
             ParallelConfig {
                 threads: 1,
                 cache_budget_bytes: 4096,
-                pli_shards: 3,
                 ..ParallelConfig::default()
             },
         ] {

@@ -129,9 +129,9 @@ fn starved_byte_budget_alternating_requests_stay_bit_identical() {
 
 #[test]
 fn byte_budgeted_discovery_output_matches_naive_oracle() {
-    // Full TANE under a starved byte budget (and sharded single-column
-    // builds) must reproduce the naive baseline exactly — spilling and
-    // rebuilding partitions may cost time, never correctness.
+    // Full TANE under a starved byte budget must reproduce the naive
+    // baseline exactly — spilling and rebuilding partitions may cost
+    // time, never correctness.
     for rel in [mp_datasets::employee(), mp_datasets::echocardiogram()] {
         let naive = discover_fds_naive(&rel, 2).unwrap();
         let config = TaneConfig {
@@ -141,7 +141,6 @@ fn byte_budgeted_discovery_output_matches_naive_oracle() {
                 threads: 2,
                 cache_capacity: 4096,
                 cache_budget_bytes: 512,
-                pli_shards: 5,
             },
         };
         let engine = discover_fds(&rel, &config).unwrap();

@@ -18,7 +18,7 @@
 //! * RHS wildcard: the FD `X → Y` must hold on the tuples matching the
 //!   LHS pattern (a *variable CFD*).
 
-use crate::attrset::AttrSet;
+use crate::AttrSet;
 use mp_relation::{Relation, Result, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;

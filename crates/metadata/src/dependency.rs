@@ -7,8 +7,8 @@
 //! methods here implement those definitions verbatim so that discovery,
 //! generation and the test suite all agree on what a dependency *means*.
 
-use crate::attrset::AttrSet;
 use crate::cfd::ConditionalFd;
+use crate::AttrSet;
 use mp_relation::{Pli, Relation, Result, Value};
 use serde::{Deserialize, Serialize};
 use std::fmt;

@@ -7,8 +7,8 @@
 //! in topological order so that every dependent attribute is produced by
 //! its dependency's mapping rather than independently.
 
-use crate::attrset::AttrSet;
 use crate::dependency::Dependency;
+use crate::AttrSet;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 

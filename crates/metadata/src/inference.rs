@@ -6,8 +6,8 @@
 //! machinery here; the generation graph uses minimal covers so the
 //! adversary never materialises redundant mappings.
 
-use crate::attrset::AttrSet;
 use crate::dependency::Fd;
+use crate::AttrSet;
 use std::collections::BTreeSet;
 
 /// A set of functional dependencies over attributes `0..n_attrs`.

@@ -17,7 +17,6 @@
 
 #![warn(missing_docs)]
 
-mod attrset;
 mod cfd;
 mod dependency;
 mod distribution;
@@ -30,7 +29,6 @@ mod pool;
 mod redaction;
 mod seq;
 
-pub use attrset::AttrSet;
 pub use cfd::{ConditionalFd, PatternCell};
 pub use dependency::{
     pli_of_set, Afd, Dependency, DifferentialDep, Fd, NumericalDep, OrderDep, OrderDirection,
@@ -42,6 +40,7 @@ pub use generalization::DomainGeneralization;
 pub use graph::{DependencyGraph, PlanStep};
 pub use inference::FdSet;
 pub use mfd::{discover_inds, InclusionDep, MetricFd};
+pub use mp_relation::AttrSet;
 pub use pool::PoolError;
 pub use redaction::SharePolicy;
 pub use seq::SequentialDep;

@@ -200,9 +200,10 @@ fn json_u64_array(vals: &[u64]) -> String {
     s
 }
 
-/// Escapes a metric name as a JSON string literal. Metric names are
-/// ASCII dot-paths by convention, but escape defensively anyway.
-fn json_string(s: &str) -> String {
+/// Escapes `s` as a JSON string literal, quotes included. The one JSON
+/// string escaper of the workspace: metric names, matrix labels and
+/// analyzer reports all go through it.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for ch in s.chars() {
@@ -312,5 +313,14 @@ mod tests {
         s.counters.insert("weird\"name\\with\nstuff".into(), 1);
         let j = s.to_json();
         assert!(j.contains("\"weird\\\"name\\\\with\\nstuff\": 1"));
+        for (input, want) in [
+            ("plain", "\"plain\""),
+            ("a\"b\\c", "\"a\\\"b\\\\c\""),
+            ("x\ny\rz", "\"x\\ny\\rz\""),
+            ("tab\there", "\"tab\\there\""),
+            ("a\u{1}b", "\"a\\u0001b\""),
+        ] {
+            assert_eq!(json_string(input), want, "{input:?}");
+        }
     }
 }

@@ -14,6 +14,8 @@
 //!   with a boxed fallback for heterogeneous columns;
 //! * [`Schema`] / [`Attribute`] / [`AttrKind`] — named, kinded attributes
 //!   (the paper's categorical/continuous split);
+//! * [`AttrSet`] — sets of attribute indices, of any width: dependency
+//!   sides, lattice nodes and partition-cache keys;
 //! * [`Relation`] — column-oriented tables with typed construction,
 //!   projection (vertical partitioning between VFL parties) and row
 //!   selection (PSI-aligned intersections);
@@ -29,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+mod attrset;
 mod column;
 pub mod csv;
 mod domain;
@@ -42,6 +45,7 @@ mod schema;
 mod stats;
 mod value;
 
+pub use attrset::AttrSet;
 pub use column::{Bitmap, Column, ColumnBuilder, StreamingColumnBuilder};
 pub use domain::Domain;
 pub use error::{RelationError, Result};

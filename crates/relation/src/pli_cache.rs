@@ -8,15 +8,13 @@
 //! classes profiling the same relation — so memoizing partitions behind
 //! one [`PliCache`] removes the repeated intersection work.
 //!
-//! Keys are `u64` attribute bitsets (one bit per attribute), which caps
-//! cacheable schemas at 64 attributes — far above the paper-scale
-//! relations this workspace targets; wider relations simply bypass the
-//! cache. Entries are `Arc<Pli>` so concurrent readers share one
-//! partition without copying. The cache is bounded: when `capacity` is
+//! Keys are [`AttrSet`]s, so relations of any width are cached alike.
+//! Entries are `Arc<Pli>` so concurrent readers share one partition
+//! without copying. The cache is bounded: when `capacity` is
 //! exceeded the least-recently-used entry is evicted, keeping memory
 //! proportional to `capacity × O(n_rows)` instead of the full lattice.
 
-use crate::Pli;
+use crate::{AttrSet, Pli};
 use mp_observe::{Counter, Recorder};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -88,14 +86,14 @@ struct Entry {
 
 /// The lock-guarded map; counters live outside the lock.
 struct Inner {
-    map: HashMap<u64, Entry>,
+    map: HashMap<AttrSet, Entry>,
     tick: u64,
     /// Sum of every resident entry's `bytes`.
     bytes: usize,
 }
 
 /// Thread-safe LRU-bounded memoizing store for stripped partitions,
-/// keyed by attribute bitset. See the module docs for the design.
+/// keyed by attribute set. See the module docs for the design.
 pub struct PliCache {
     inner: Mutex<Inner>,
     capacity: usize,
@@ -121,8 +119,7 @@ impl std::fmt::Debug for PliCache {
 impl PliCache {
     /// A cache holding at most `capacity` partitions. `capacity == 0`
     /// disables caching entirely: every [`get`](Self::get) misses and
-    /// [`insert`](Self::insert) is a no-op (useful as an ablation
-    /// baseline and for relations too wide to key).
+    /// [`insert`](Self::insert) is a no-op (the ablation baseline).
     pub fn new(capacity: usize) -> Self {
         Self::with_budget(capacity, 0)
     }
@@ -208,9 +205,9 @@ impl PliCache {
         self.len() == 0
     }
 
-    /// Looks up the partition for the attribute bitset `key`, bumping its
+    /// Looks up the partition for the attribute set `key`, bumping its
     /// recency and the hit/miss counters.
-    pub fn get(&self, key: u64) -> Option<Arc<Pli>> {
+    pub fn get(&self, key: &AttrSet) -> Option<Arc<Pli>> {
         if self.capacity == 0 {
             self.misses.inc();
             return None;
@@ -219,7 +216,7 @@ impl PliCache {
         let mut inner = self.inner.lock().expect("PliCache lock poisoned");
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(&key) {
+        match inner.map.get_mut(key) {
             Some(entry) => {
                 entry.last_used = tick;
                 let pli = Arc::clone(&entry.pli);
@@ -240,7 +237,7 @@ impl PliCache {
     /// resident `Arc` — if another thread inserted the same key first,
     /// that earlier partition is kept and returned, so all callers share
     /// one allocation.
-    pub fn insert(&self, key: u64, pli: Pli) -> Arc<Pli> {
+    pub fn insert(&self, key: AttrSet, pli: Pli) -> Arc<Pli> {
         let bytes = pli.heap_bytes();
         let pli = Arc::new(pli);
         if self.capacity == 0 {
@@ -268,11 +265,11 @@ impl PliCache {
             let over_capacity = inner.map.len() >= self.capacity;
             // O(entries) scan; capacities are small enough that a heap
             // would cost more in constant factors than it saves.
-            let Some(&victim) = inner
+            let Some(victim) = inner
                 .map
                 .iter()
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k)
+                .map(|(k, _)| k.clone())
             else {
                 break;
             };
@@ -325,6 +322,10 @@ mod tests {
     use super::*;
     use crate::Value;
 
+    fn set(attr: u64) -> AttrSet {
+        AttrSet::single(attr as usize)
+    }
+
     fn pli(values: &[i64]) -> Pli {
         let column: Vec<Value> = values.iter().map(|&v| Value::Int(v)).collect();
         Pli::from_column(&column)
@@ -333,9 +334,9 @@ mod tests {
     #[test]
     fn hit_miss_accounting() {
         let cache = PliCache::new(8);
-        assert!(cache.get(0b1).is_none());
-        cache.insert(0b1, pli(&[1, 1, 2]));
-        let hit = cache.get(0b1).expect("present");
+        assert!(cache.get(&set(0)).is_none());
+        cache.insert(set(0), pli(&[1, 1, 2]));
+        let hit = cache.get(&set(0)).expect("present");
         assert_eq!(*hit, pli(&[1, 1, 2]));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
@@ -345,23 +346,36 @@ mod tests {
     #[test]
     fn lru_eviction_keeps_recently_used() {
         let cache = PliCache::new(2);
-        cache.insert(1, pli(&[1]));
-        cache.insert(2, pli(&[1, 1]));
+        cache.insert(set(1), pli(&[1]));
+        cache.insert(set(2), pli(&[1, 1]));
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.get(1).is_some());
-        cache.insert(3, pli(&[1, 1, 1]));
-        assert!(cache.get(1).is_some(), "recently used survives");
-        assert!(cache.get(2).is_none(), "LRU entry evicted");
-        assert!(cache.get(3).is_some());
+        assert!(cache.get(&set(1)).is_some());
+        cache.insert(set(3), pli(&[1, 1, 1]));
+        assert!(cache.get(&set(1)).is_some(), "recently used survives");
+        assert!(cache.get(&set(2)).is_none(), "LRU entry evicted");
+        assert!(cache.get(&set(3)).is_some());
         assert_eq!(cache.stats().evictions, 1);
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn wide_attribute_sets_are_distinct_keys() {
+        // Sets past attribute 63 key the cache like any other set.
+        let cache = PliCache::new(8);
+        let wide = AttrSet::from_iter([3, 64, 99]);
+        cache.insert(set(63), pli(&[1, 1]));
+        cache.insert(wide.clone(), pli(&[1, 1, 1]));
+        assert!(cache.get(&set(64)).is_none());
+        assert_eq!(cache.get(&wide).expect("present").covered_count(), 3);
+        assert_eq!(cache.get(&set(63)).expect("present").covered_count(), 2);
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn zero_capacity_disables_caching() {
         let cache = PliCache::new(0);
-        cache.insert(1, pli(&[1, 2]));
-        assert!(cache.get(1).is_none());
+        cache.insert(set(1), pli(&[1, 2]));
+        assert!(cache.get(&set(1)).is_none());
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.stats().hits, 0);
     }
@@ -369,8 +383,8 @@ mod tests {
     #[test]
     fn duplicate_insert_keeps_first_resident() {
         let cache = PliCache::new(4);
-        let a = cache.insert(7, pli(&[1, 1, 2, 2]));
-        let b = cache.insert(7, pli(&[1, 1, 2, 2]));
+        let a = cache.insert(set(7), pli(&[1, 1, 2, 2]));
+        let b = cache.insert(set(7), pli(&[1, 1, 2, 2]));
         assert!(
             Arc::ptr_eq(&a, &b),
             "second insert returns the resident Arc"
@@ -387,11 +401,11 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..50u64 {
                         let key = (i + t) % 16;
-                        match cache.get(key) {
+                        match cache.get(&set(key)) {
                             Some(p) => assert_eq!(p.n_rows(), key as usize + 1),
                             None => {
                                 let vals: Vec<i64> = (0..=key as i64).map(|v| v % 3).collect();
-                                cache.insert(key, pli(&vals));
+                                cache.insert(set(key), pli(&vals));
                             }
                         }
                     }
@@ -408,9 +422,9 @@ mod tests {
         use mp_observe::{NoopRecorder, Registry};
         let registry = Registry::new();
         let cache = PliCache::with_recorder(4, &registry);
-        cache.get(1); // miss
-        cache.insert(1, pli(&[1, 2]));
-        cache.get(1); // hit
+        cache.get(&set(1)); // miss
+        cache.insert(set(1), pli(&[1, 2]));
+        cache.get(&set(1)); // hit
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         let snap = registry.snapshot();
@@ -420,7 +434,7 @@ mod tests {
 
         // A noop recorder must not break local stats.
         let plain = PliCache::with_recorder(4, &NoopRecorder);
-        plain.get(9);
+        plain.get(&set(9));
         assert_eq!(plain.stats().misses, 1);
     }
 
@@ -434,21 +448,24 @@ mod tests {
         let one = bytes_of(&[1, 1]); // one 2-row cluster
         let cache = PliCache::with_budget(16, 3 * one);
         assert_eq!(cache.budget_bytes(), 3 * one);
-        cache.insert(1, pli(&[1, 1]));
-        cache.insert(2, pli(&[2, 2]));
+        cache.insert(set(1), pli(&[1, 1]));
+        cache.insert(set(2), pli(&[2, 2]));
         assert_eq!(cache.resident_bytes(), 2 * one);
         // Third fits exactly; budget holds with zero slack.
-        cache.insert(3, pli(&[3, 3]));
+        cache.insert(set(3), pli(&[3, 3]));
         assert_eq!(cache.resident_bytes(), 3 * one);
         assert_eq!(cache.stats().budget_evictions, 0);
         // Fourth forces exactly one budget eviction (capacity has room).
-        cache.insert(4, pli(&[4, 4]));
+        cache.insert(set(4), pli(&[4, 4]));
         let stats = cache.stats();
         assert_eq!(stats.entries, 3);
         assert_eq!(stats.bytes, 3 * one);
         assert_eq!(stats.evictions, 1);
         assert_eq!(stats.budget_evictions, 1);
-        assert!(cache.get(1).is_none(), "LRU entry paid for the budget");
+        assert!(
+            cache.get(&set(1)).is_none(),
+            "LRU entry paid for the budget"
+        );
         cache.clear();
         assert_eq!(cache.resident_bytes(), 0);
         assert_eq!(cache.len(), 0);
@@ -458,16 +475,16 @@ mod tests {
     fn oversized_partition_bypasses_cache_instead_of_flushing_it() {
         let one = bytes_of(&[1, 1]);
         let cache = PliCache::with_budget(16, 2 * one);
-        cache.insert(1, pli(&[1, 1]));
-        cache.insert(2, pli(&[2, 2]));
+        cache.insert(set(1), pli(&[1, 1]));
+        cache.insert(set(2), pli(&[2, 2]));
         // Larger than the whole budget: returned uncached, residents kept.
-        let big = cache.insert(3, pli(&[5, 5, 5, 5, 5, 5, 5, 5]));
+        let big = cache.insert(set(3), pli(&[5, 5, 5, 5, 5, 5, 5, 5]));
         assert_eq!(big.covered_count(), 8);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.resident_bytes(), 2 * one);
-        assert!(cache.get(1).is_some());
-        assert!(cache.get(2).is_some());
-        assert!(cache.get(3).is_none());
+        assert!(cache.get(&set(1)).is_some());
+        assert!(cache.get(&set(2)).is_some());
+        assert!(cache.get(&set(3)).is_none());
     }
 
     #[test]
@@ -477,16 +494,19 @@ mod tests {
         assert!(three < 4 * one && three > 2 * one);
         let cache = PliCache::with_budget(16, 4 * one);
         for key in 1..=4 {
-            cache.insert(key, pli(&[key as i64, key as i64]));
+            cache.insert(set(key), pli(&[key as i64, key as i64]));
         }
         // Fits only after evicting the three least-recent entries.
-        cache.insert(9, pli(&[7; 8]));
+        cache.insert(set(9), pli(&[7; 8]));
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.bytes, one + three);
         assert_eq!(stats.budget_evictions, 3);
-        assert!(cache.get(4).is_some(), "most recent small entry survives");
-        assert!(cache.get(9).is_some());
+        assert!(
+            cache.get(&set(4)).is_some(),
+            "most recent small entry survives"
+        );
+        assert!(cache.get(&set(9)).is_some());
     }
 
     /// The capacity-1 adversarial case from PR 2, re-run with a byte
@@ -499,7 +519,7 @@ mod tests {
         let cache = PliCache::with_budget(1, one);
         for round in 0..8u64 {
             let key = round % 2;
-            cache.insert(key, pli(&[1, 1]));
+            cache.insert(set(key), pli(&[1, 1]));
             assert_eq!(cache.resident_bytes(), one, "round {round}");
             assert_eq!(cache.len(), 1, "round {round}");
         }
@@ -516,8 +536,8 @@ mod tests {
         let registry = Registry::new();
         let one = bytes_of(&[1, 1]);
         let cache = PliCache::with_recorder_and_budget(16, one, &registry);
-        cache.insert(1, pli(&[1, 1]));
-        cache.insert(2, pli(&[2, 2]));
+        cache.insert(set(1), pli(&[1, 1]));
+        cache.insert(set(2), pli(&[2, 2]));
         assert_eq!(
             registry.snapshot().counters["pli_cache.budget_evictions"],
             1
@@ -528,8 +548,8 @@ mod tests {
     #[test]
     fn display_is_humane() {
         let cache = PliCache::new(3);
-        cache.insert(1, pli(&[1]));
-        cache.get(1);
+        cache.insert(set(1), pli(&[1]));
+        cache.get(&set(1));
         let text = cache.stats().to_string();
         assert!(text.contains("1 hits"), "{text}");
         assert!(text.contains("capacity 3"), "{text}");

@@ -3,10 +3,13 @@
 //! panic, on malformed or adversarial inputs.
 
 use metadata_privacy::core::{run_attack, ExperimentConfig, PrivacyAudit};
-use metadata_privacy::discovery::{discover_fds, DependencyProfile, ProfileConfig, TaneConfig};
-use metadata_privacy::metadata::AttributeMeta;
+use metadata_privacy::discovery::{
+    discover_fds, discover_fds_naive, DependencyProfile, DiscoveryContext, ParallelConfig,
+    ProfileConfig, TaneConfig,
+};
+use metadata_privacy::metadata::{pli_of_set, AttributeMeta};
 use metadata_privacy::prelude::*;
-use metadata_privacy::relation::{csv, Attribute, RelationError, Schema};
+use metadata_privacy::relation::{csv, Attribute, Schema};
 
 #[test]
 fn corrupt_csv_inputs_fail_with_typed_errors() {
@@ -23,15 +26,78 @@ fn corrupt_csv_inputs_fail_with_typed_errors() {
     }
 }
 
-#[test]
-fn sixty_five_attribute_relation_rejected_by_tane() {
-    let attrs: Vec<Attribute> = (0..65)
+/// A relation of `width` columns over 16 rows: five low-cardinality
+/// columns at 0, 1, 63, 64 and `width - 1` carrying single and composite
+/// FDs (`1 → 0`, `{0, 63} → 64`, …); every other column is a key.
+fn wide_relation(width: usize) -> Relation {
+    let attrs: Vec<Attribute> = (0..width)
         .map(|i| Attribute::categorical(format!("a{i}")))
         .collect();
     let schema = Schema::new(attrs).unwrap();
-    let rel = Relation::from_rows(schema, vec![(0..65).map(Value::Int).collect()]).unwrap();
-    let err = discover_fds(&rel, &TaneConfig::default()).unwrap_err();
-    assert!(matches!(err, RelationError::IndexOutOfBounds { .. }));
+    let rows = (0..16i64)
+        .map(|r| {
+            (0..width)
+                .map(|i| match i {
+                    0 => Value::Int(r % 2),
+                    1 => Value::Int(r % 4),
+                    63 => Value::Int(r / 2 % 2),
+                    64 => Value::Int((r % 2) ^ (r / 2 % 2)),
+                    i if i == width - 1 => Value::Int(r / 4 % 2),
+                    _ => Value::Int(r),
+                })
+                .collect()
+        })
+        .collect();
+    Relation::from_rows(schema, rows).unwrap()
+}
+
+#[test]
+fn relations_wider_than_64_attributes_are_discovered_and_cached() {
+    let canon = |fds: Vec<Fd>| {
+        let mut v: Vec<(Vec<usize>, usize)> = fds
+            .into_iter()
+            .map(|f| (f.lhs.indices().to_vec(), f.rhs))
+            .collect();
+        v.sort();
+        v
+    };
+    for width in [65usize, 100] {
+        let rel = wide_relation(width);
+        let config = TaneConfig {
+            max_lhs: 2,
+            g3_threshold: 0.0,
+            ..TaneConfig::default()
+        };
+        let tane = discover_fds(&rel, &config).unwrap();
+        for (lhs, rhs) in [([0, 63], 64), ([63, 64], 0), ([0, 63], 1)] {
+            assert!(
+                tane.iter()
+                    .any(|f| f.lhs == AttrSet::from_iter(lhs) && f.rhs == rhs),
+                "width {width}: missing {lhs:?} -> {rhs}"
+            );
+        }
+        assert_eq!(
+            canon(tane),
+            canon(discover_fds_naive(&rel, 2).unwrap()),
+            "width {width}"
+        );
+
+        let ctx = DiscoveryContext::new(&rel, ParallelConfig::sequential());
+        let sets = [
+            AttrSet::from_iter([64]),
+            AttrSet::from_iter([63, 64]),
+            AttrSet::from_iter([0, width - 1]),
+            AttrSet::from_iter([1, 64, width - 1]),
+        ];
+        for set in sets.iter().chain(&sets) {
+            assert_eq!(
+                *ctx.pli_of(set).unwrap(),
+                pli_of_set(&rel, set).unwrap(),
+                "width {width}, set {set}"
+            );
+        }
+        assert!(ctx.cache_stats().hits > 0, "width {width}");
+    }
 }
 
 #[test]
