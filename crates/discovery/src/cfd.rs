@@ -52,11 +52,11 @@ pub fn discover_cfds(relation: &Relation, config: &CfdConfig) -> Result<Vec<Cond
                 let Some((&row0, rest)) = cluster.split_first() else {
                     continue;
                 };
-                let y = rhs_col.value_ref(row0);
-                if rest.iter().all(|&r| rhs_col.value_ref(r) == y) {
+                let y = rhs_col.value_ref(row0 as usize);
+                if rest.iter().all(|&r| rhs_col.value_ref(r as usize) == y) {
                     out.push(ConditionalFd::constant(
                         lhs,
-                        lhs_col.value(row0),
+                        lhs_col.value(row0 as usize),
                         rhs,
                         y.to_value(),
                     ));

@@ -279,12 +279,6 @@ impl<'r> DiscoveryContext<'r> {
         Ok(self.cache.insert(set.clone(), pli))
     }
 
-    /// `g3` violation count of `lhs → rhs` against a precomputed RHS full
-    /// signature, using the memoized LHS partition.
-    pub fn lhs_violations(&self, lhs: &AttrSet, rhs_full_sig: &[usize]) -> Result<usize> {
-        Ok(self.pli_of(lhs)?.g3_violations(rhs_full_sig))
-    }
-
     fn cacheable(&self) -> bool {
         self.cache.capacity() > 0
     }

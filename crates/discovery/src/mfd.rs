@@ -116,10 +116,11 @@ pub fn discover_variable_cfds(
                     if cluster.len() < config.min_support {
                         continue;
                     }
-                    let Some(&row0) = cluster.first() else {
+                    let rows: Vec<usize> = cluster.iter().map(|&r| r as usize).collect();
+                    let Some(&row0) = rows.first() else {
                         continue;
                     };
-                    let subset = relation.select_rows(cluster)?;
+                    let subset = relation.select_rows(&rows)?;
                     if Fd::new(fd_lhs, rhs).holds(&subset)? {
                         out.push(ConditionalFd::variable(
                             cond,

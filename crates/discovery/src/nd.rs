@@ -102,7 +102,7 @@ fn max_fanout(lhs_pli: &mp_relation::Pli, rhs_sig: &[usize]) -> usize {
     let mut seen: Vec<usize> = Vec::new();
     for cluster in lhs_pli.clusters() {
         seen.clear();
-        seen.extend(cluster.iter().map(|&r| rhs_sig[r]));
+        seen.extend(cluster.iter().map(|&r| rhs_sig[r as usize]));
         seen.sort_unstable();
         seen.dedup();
         max = max.max(seen.len());

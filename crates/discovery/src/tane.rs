@@ -109,6 +109,15 @@ pub fn discover_fds_with(ctx: &DiscoveryContext<'_>, config: &TaneConfig) -> Res
         );
     }
     let threshold_violations = (config.g3_threshold * n as f64).floor() as usize;
+    // Whether `lhs → rhs` holds within the threshold, given Π_lhs. Exact
+    // FDs stop at the first violating row; approximate ones count them all.
+    let holds = |lhs_pli: &Pli, rhs_sig: &[usize]| {
+        if threshold_violations == 0 {
+            lhs_pli.satisfies_fd(rhs_sig)
+        } else {
+            lhs_pli.g3_violations(rhs_sig) <= threshold_violations
+        }
+    };
 
     // Lattice-shape metrics: width of each level and total candidate FD
     // tests. Both are functions of the input alone (independent of thread
@@ -125,7 +134,7 @@ pub fn discover_fds_with(ctx: &DiscoveryContext<'_>, config: &TaneConfig) -> Res
     // pruning is correct.
     let mut constant_attrs = Vec::new();
     for (a, sig) in rhs_sigs.iter().enumerate() {
-        if unit.g3_violations(sig) <= threshold_violations {
+        if holds(&unit, sig) {
             results.push(Fd::new(AttrSet::empty(), a));
             constant_attrs.push(a);
         }
@@ -162,12 +171,12 @@ pub fn discover_fds_with(ctx: &DiscoveryContext<'_>, config: &TaneConfig) -> Res
                 }
                 candidates_tested.inc();
                 let lhs = x.without(a);
-                let violations = if lhs.is_empty() {
-                    unit.g3_violations(&rhs_sigs[a])
+                let valid = if lhs.is_empty() {
+                    holds(&unit, &rhs_sigs[a])
                 } else {
-                    ctx.lhs_violations(&lhs, &rhs_sigs[a])?
+                    holds(&*ctx.pli_of(&lhs)?, &rhs_sigs[a])
                 };
-                if violations <= threshold_violations {
+                if valid {
                     found.push(Fd::new(lhs, a));
                     // Prune: remove A and all attributes outside X from C⁺(X).
                     cplus = cplus.intersection(&x).without(a);
@@ -201,12 +210,12 @@ pub fn discover_fds_with(ctx: &DiscoveryContext<'_>, config: &TaneConfig) -> Res
                     let mut minimal = true;
                     for b in x.iter() {
                         let sub = x.without(b);
-                        let v = if sub.is_empty() {
-                            unit.g3_violations(&rhs_sigs[a])
+                        let valid = if sub.is_empty() {
+                            holds(&unit, &rhs_sigs[a])
                         } else {
-                            ctx.lhs_violations(&sub, &rhs_sigs[a])?
+                            holds(&*ctx.pli_of(&sub)?, &rhs_sigs[a])
                         };
-                        if v <= threshold_violations {
+                        if valid {
                             minimal = false;
                             break;
                         }

@@ -196,7 +196,7 @@ impl NumericalDep {
         let mut seen: Vec<usize> = Vec::new();
         for cluster in lhs_pli.clusters() {
             seen.clear();
-            seen.extend(cluster.iter().map(|&r| rhs_sig[r]));
+            seen.extend(cluster.iter().map(|&r| rhs_sig[r as usize]));
             seen.sort_unstable();
             seen.dedup();
             max = max.max(seen.len());

@@ -135,6 +135,25 @@ impl Bitmap {
     }
 }
 
+/// Per-row equality-class codes of boxed values, numbered in
+/// first-occurrence order, plus the number of classes (see
+/// [`Column::group_codes`]).
+pub(crate) fn group_value_codes(values: &[Value]) -> (Vec<u32>, usize) {
+    let mut lookup: HashMap<&Value, u32> = HashMap::with_capacity(values.len().min(1024));
+    let mut next = 0u32;
+    let codes = values
+        .iter()
+        .map(|v| {
+            *lookup.entry(v).or_insert_with(|| {
+                let c = next;
+                next += 1;
+                c
+            })
+        })
+        .collect();
+    (codes, next as usize)
+}
+
 /// A typed column of a relation. See the module docs for the layout and
 /// the null-code/bitmap conventions.
 #[derive(Debug, Clone)]
@@ -397,22 +416,7 @@ impl Column {
                     .collect();
                 (codes, next as usize)
             }
-            Column::Boxed(values) => {
-                let mut lookup: HashMap<&Value, u32> =
-                    HashMap::with_capacity(values.len().min(1024));
-                let mut next = 0u32;
-                let codes = values
-                    .iter()
-                    .map(|v| {
-                        *lookup.entry(v).or_insert_with(|| {
-                            let c = next;
-                            next += 1;
-                            c
-                        })
-                    })
-                    .collect();
-                (codes, next as usize)
-            }
+            Column::Boxed(values) => group_value_codes(values),
         }
     }
 

@@ -16,7 +16,7 @@
 
 use crate::column::StreamingColumnBuilder;
 use crate::error::{RelationError, Result};
-use crate::relation::Relation;
+use crate::relation::{check_row_count, Relation};
 use crate::schema::{AttrKind, Attribute, Schema};
 use crate::value::Value;
 use mp_observe::{Counter, Histogram, Recorder};
@@ -414,6 +414,10 @@ impl<'o> StreamIngest<'o> {
                 line: self.data_rows + 1 + usize::from(self.opts.has_header),
                 message: format!("expected {} fields, found {}", self.arity, record.len()),
             });
+            return;
+        }
+        if let Err(e) = check_row_count(self.data_rows + 1) {
+            self.defer(e);
             return;
         }
         for (builder, field) in self.builders.iter_mut().zip(&record) {

@@ -7,6 +7,7 @@
 //! what an adversary samples from, and what the analytical models take as
 //! input.
 
+use crate::column::Column;
 use crate::error::{RelationError, Result};
 use crate::relation::Relation;
 use crate::schema::AttrKind;
@@ -98,6 +99,35 @@ impl Domain {
         }
     }
 
+    /// The categorical domain of a column's observed values, `Null`
+    /// included: the same sorted, de-duplicated list as materialising,
+    /// sorting and de-duplicating every cell, built from one
+    /// representative row per [`Column::group_codes`] class (its first
+    /// occurrence), so only a handful of values are materialised and
+    /// sorted.
+    pub fn observed(column: &Column) -> Domain {
+        let (codes, n_codes) = column.group_codes();
+        let mut seen = vec![false; n_codes];
+        let mut vals: Vec<Value> = Vec::new();
+        for (row, &code) in codes.iter().enumerate() {
+            let code = code as usize;
+            if !seen[code] {
+                seen[code] = true;
+                vals.push(column.value(row));
+                if vals.len() == n_codes {
+                    break;
+                }
+            }
+        }
+        // Each class is represented by its first row (so `-0.0` stays
+        // `-0.0` when it precedes `0.0`), which is the cell a stable full
+        // sort plus `dedup` keeps; `dedup` merges any classes that still
+        // compare equal, earliest first, as the full sort would.
+        vals.sort();
+        vals.dedup();
+        Domain::Categorical(vals)
+    }
+
     /// Infers the domain of column `col` of `relation`, driven by the
     /// attribute's kind.
     ///
@@ -111,12 +141,7 @@ impl Domain {
         let attr = relation.schema().attribute(col)?;
         let column = relation.column(col)?;
         match attr.kind {
-            AttrKind::Categorical => {
-                let mut vals: Vec<Value> = column.to_values();
-                vals.sort();
-                vals.dedup();
-                Ok(Domain::Categorical(vals))
-            }
+            AttrKind::Categorical => Ok(Domain::observed(column)),
             AttrKind::Continuous => {
                 let mut it = column.iter().filter_map(|v| v.as_f64());
                 let first = it.next().ok_or(RelationError::EmptyRelation)?;

@@ -53,6 +53,14 @@ pub enum RelationError {
     Io(String),
     /// The operation requires a non-empty relation.
     EmptyRelation,
+    /// A relation would hold more rows than partitions can index
+    /// ([`crate::Relation::MAX_ROWS`]).
+    TooManyRows {
+        /// Rows the relation would hold.
+        rows: usize,
+        /// The largest supported row count.
+        max: usize,
+    },
 }
 
 impl fmt::Display for RelationError {
@@ -101,6 +109,9 @@ impl fmt::Display for RelationError {
             }
             RelationError::Io(msg) => write!(f, "I/O error: {msg}"),
             RelationError::EmptyRelation => write!(f, "operation requires a non-empty relation"),
+            RelationError::TooManyRows { rows, max } => {
+                write!(f, "relation of {rows} rows exceeds the {max}-row limit")
+            }
         }
     }
 }

@@ -5,10 +5,26 @@
 //! The *stripped* form drops singleton groups, which keeps intersection
 //! (the inner loop of level-wise FD discovery) proportional to the number of
 //! duplicated tuples rather than |R|.
+//!
+//! Layout: a [`Pli`] is stored flat, in CSR form. `rows` holds every
+//! clustered row index as a `u32`, cluster after cluster, and `offsets`
+//! holds the cluster boundaries — 4 B per clustered row plus 4 B per
+//! cluster, and no allocation per cluster. Row indices fit in `u32`
+//! because relations reject more than `u32::MAX` rows
+//! ([`crate::RelationError::TooManyRows`]).
+//!
+//! The kernels are code-indexed array passes, never hash maps: the
+//! product and the `g3` count index a reusable table by the other side's
+//! cluster or class id and reset it through the rows they just touched.
 
-use crate::column::Column;
+use crate::column::{group_value_codes, Column};
 use crate::value::Value;
-use std::collections::HashMap;
+
+/// "No cluster" in a row → cluster-id probe, and "unclaimed" in a write
+/// cursor table. Never a live value: a stripped partition of at most
+/// `u32::MAX` rows has fewer than `u32::MAX / 2` clusters, and a cursor
+/// can only reach `u32::MAX` once the last row of its span is placed.
+const NONE: u32 = u32::MAX;
 
 /// A stripped partition over the tuples of a relation.
 ///
@@ -17,25 +33,27 @@ use std::collections::HashMap;
 /// from equivalent groupings compare equal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pli {
-    clusters: Vec<Vec<usize>>,
+    /// Row indices of every cluster, cluster after cluster.
+    rows: Vec<u32>,
+    /// Cluster `k` is `rows[offsets[k]..offsets[k + 1]]`. Empty when the
+    /// partition has no clusters, so key partitions retain nothing.
+    offsets: Vec<u32>,
     n_rows: usize,
+}
+
+/// Appends the end of a just-completed cluster to CSR `offsets`.
+fn push_end(offsets: &mut Vec<u32>, end: usize) {
+    if offsets.is_empty() {
+        offsets.push(0);
+    }
+    offsets.push(end as u32);
 }
 
 impl Pli {
     /// Builds the stripped partition of a single column.
     pub fn from_column(column: &[Value]) -> Self {
-        // lint: allow(no-unordered-iteration) reason="clusters are sorted by first row index before they leave this function"
-        let mut groups: HashMap<&Value, Vec<usize>> = HashMap::new();
-        for (i, v) in column.iter().enumerate() {
-            groups.entry(v).or_default().push(i);
-        }
-        let mut clusters: Vec<Vec<usize>> = groups.into_values().filter(|g| g.len() >= 2).collect();
-        // Rows were pushed in index order, so each cluster is sorted already.
-        clusters.sort_by_key(|c| c[0]); // lint: allow(no-literal-index) reason="clusters are filtered to len >= 2 one line above"
-        Self {
-            clusters,
-            n_rows: column.len(),
-        }
+        let (codes, n_codes) = group_value_codes(column);
+        Self::from_codes(&codes, n_codes)
     }
 
     /// Builds the stripped partition of a typed column, grouping by the
@@ -49,81 +67,104 @@ impl Pli {
 
     /// Builds the stripped partition from per-row equality-class codes
     /// (`codes[i] < n_codes` for all rows; two rows share a code iff their
-    /// cells are equal). Counting-style: one pass to size each group, one
-    /// pass to scatter row indices, so clusters come out internally sorted
-    /// without hashing.
+    /// cells are equal; at most `u32::MAX` rows). Counting-style: one pass
+    /// sizes each group, and one pass claims each multi-row code's span at
+    /// its first row and scatters the rows into it, so clusters come out
+    /// internally sorted and ordered by first row without hashing or
+    /// sorting.
     pub fn from_codes(codes: &[u32], n_codes: usize) -> Self {
+        debug_assert!(codes.len() <= u32::MAX as usize);
         let mut counts = vec![0u32; n_codes];
         for &c in codes {
             counts[c as usize] += 1;
         }
-        // Only codes occurring ≥ 2 times produce (stripped) clusters.
-        let mut slot = vec![usize::MAX; n_codes];
-        let mut clusters: Vec<Vec<usize>> = Vec::new();
-        for (code, &count) in counts.iter().enumerate() {
-            if count >= 2 {
-                slot[code] = clusters.len();
-                clusters.push(Vec::with_capacity(count as usize));
-            }
-        }
+        let covered: usize = counts
+            .iter()
+            .filter(|&&k| k >= 2)
+            .map(|&k| k as usize)
+            .sum();
+        // Write cursor of each multi-row code's cluster, NONE until its
+        // first row claims the span.
+        let mut cursor = vec![NONE; n_codes];
+        let mut rows = vec![0u32; covered];
+        let mut offsets = Vec::new();
+        let mut claimed = 0usize;
         for (row, &c) in codes.iter().enumerate() {
-            let s = slot[c as usize];
-            if s != usize::MAX {
-                clusters[s].push(row);
+            let c = c as usize;
+            let count = counts[c];
+            if count < 2 {
+                continue;
             }
+            if cursor[c] == NONE {
+                cursor[c] = claimed as u32;
+                claimed += count as usize;
+                push_end(&mut offsets, claimed);
+            }
+            rows[cursor[c] as usize] = row as u32;
+            cursor[c] += 1;
         }
-        // Rows were scattered in index order, so each cluster is sorted.
-        clusters.sort_by_key(|c| c[0]); // lint: allow(no-literal-index) reason="empty and singleton clusters were dropped by the retain above"
         Self {
-            clusters,
+            rows,
+            offsets,
             n_rows: codes.len(),
         }
     }
 
-    /// Estimated retained heap bytes: the cluster spine plus every stored
-    /// row index. A deterministic function of the logical shape (lengths,
-    /// never allocator capacities), so equal partitions always account
-    /// equally in byte-budgeted caches.
+    /// Estimated retained heap bytes: 4 B per clustered row plus 4 B per
+    /// CSR offset (`4 × (rows + offsets)`). A deterministic function of
+    /// the logical shape (lengths, never allocator capacities), so equal
+    /// partitions always account equally in byte-budgeted caches.
     pub fn heap_bytes(&self) -> usize {
-        let spine = self.clusters.len() * std::mem::size_of::<Vec<usize>>();
-        let rows: usize = self
-            .clusters
-            .iter()
-            .map(|c| c.len() * std::mem::size_of::<usize>())
-            .sum();
-        spine + rows
+        (self.rows.len() + self.offsets.len()) * std::mem::size_of::<u32>()
     }
 
     /// Builds a partition directly from clusters (used by tests and by
     /// generators that know the grouping). Singleton clusters are stripped.
+    /// Row indices must be below `u32::MAX`.
     pub fn from_clusters(mut clusters: Vec<Vec<usize>>, n_rows: usize) -> Self {
         clusters.retain(|c| c.len() >= 2);
         for c in &mut clusters {
             c.sort_unstable();
         }
-        clusters.sort_by_key(|c| c[0]); // lint: allow(no-literal-index) reason="the retain above drops clusters shorter than 2"
-        Self { clusters, n_rows }
-    }
-
-    /// The single-cluster partition {{0..n}} (partition of the empty
-    /// attribute set: all tuples agree on ∅).
-    pub fn unit(n_rows: usize) -> Self {
-        if n_rows >= 2 {
-            Self {
-                clusters: vec![(0..n_rows).collect()],
-                n_rows,
-            }
-        } else {
-            Self {
-                clusters: vec![],
-                n_rows,
-            }
+        clusters.sort_by_key(|c| c.first().copied());
+        let mut rows = Vec::with_capacity(clusters.iter().map(Vec::len).sum());
+        let mut offsets = Vec::with_capacity(clusters.len() + 1);
+        for c in &clusters {
+            rows.extend(c.iter().map(|&r| r as u32));
+            push_end(&mut offsets, rows.len());
+        }
+        Self {
+            rows,
+            offsets,
+            n_rows,
         }
     }
 
-    /// Clusters of size ≥ 2.
-    pub fn clusters(&self) -> &[Vec<usize>] {
-        &self.clusters
+    /// The single-cluster partition {{0..n}} (partition of the empty
+    /// attribute set: all tuples agree on ∅). `n_rows ≤ u32::MAX`.
+    pub fn unit(n_rows: usize) -> Self {
+        debug_assert!(n_rows <= u32::MAX as usize);
+        let mut offsets = Vec::new();
+        let rows = if n_rows >= 2 {
+            push_end(&mut offsets, n_rows);
+            (0..n_rows as u32).collect()
+        } else {
+            Vec::new()
+        };
+        Self {
+            rows,
+            offsets,
+            n_rows,
+        }
+    }
+
+    /// Clusters of size ≥ 2, in order of first row, each a sorted slice of
+    /// row indices.
+    pub fn clusters(&self) -> impl ExactSizeIterator<Item = &[u32]> + Clone + '_ {
+        self.offsets
+            .iter()
+            .zip(self.offsets.iter().skip(1))
+            .map(|(&start, &end)| &self.rows[start as usize..end as usize])
     }
 
     /// Number of tuples in the underlying relation.
@@ -133,12 +174,12 @@ impl Pli {
 
     /// Number of (non-singleton) clusters, |Π| in TANE notation.
     pub fn cluster_count(&self) -> usize {
-        self.clusters.len()
+        self.offsets.len().saturating_sub(1)
     }
 
     /// Total tuples covered by non-singleton clusters, ||Π|| in TANE.
     pub fn covered_count(&self) -> usize {
-        self.clusters.iter().map(Vec::len).sum()
+        self.rows.len()
     }
 
     /// TANE's key-pruning error `e(X) = (||Π|| − |Π|) / |R|`: the fraction of
@@ -153,31 +194,21 @@ impl Pli {
 
     /// `true` iff the attribute set is a superkey (no duplicate groups).
     pub fn is_key(&self) -> bool {
-        self.clusters.is_empty()
-    }
-
-    /// Row → cluster-id map where rows in no cluster get `None`.
-    pub fn signature(&self) -> Vec<Option<usize>> {
-        let mut sig = vec![None; self.n_rows];
-        for (cid, cluster) in self.clusters.iter().enumerate() {
-            for &row in cluster {
-                sig[row] = Some(cid);
-            }
-        }
-        sig
+        self.rows.is_empty()
     }
 
     /// Row → cluster-id map of the *full* partition: singleton rows receive
     /// fresh unique ids after the stripped clusters. Two rows share an id
-    /// iff they agree on the attribute set.
+    /// iff they agree on the attribute set, and every id is below
+    /// `n_rows`.
     pub fn full_signature(&self) -> Vec<usize> {
         let mut sig = vec![usize::MAX; self.n_rows];
-        for (cid, cluster) in self.clusters.iter().enumerate() {
+        for (cid, cluster) in self.clusters().enumerate() {
             for &row in cluster {
-                sig[row] = cid;
+                sig[row as usize] = cid;
             }
         }
-        let mut next = self.clusters.len();
+        let mut next = self.cluster_count();
         for s in &mut sig {
             if *s == usize::MAX {
                 *s = next;
@@ -187,39 +218,102 @@ impl Pli {
         sig
     }
 
-    /// Partition product Π_X ∩ Π_Y = Π_{X∪Y}, the TANE `STRIPPED_PRODUCT`.
-    ///
-    /// Linear in `||Π_self|| + ||Π_other||` after building `other`'s
-    /// signature once; callers doing many intersections against the same
-    /// partition should use [`Pli::intersect_with_signature`].
-    pub fn intersect(&self, other: &Pli) -> Pli {
-        debug_assert_eq!(self.n_rows, other.n_rows);
-        let sig = other.signature();
-        self.intersect_with_signature(&sig)
+    /// Row → cluster-id probe of the stripped partition, [`NONE`] for rows
+    /// in no cluster.
+    fn probe(&self) -> Vec<u32> {
+        let mut probe = vec![NONE; self.n_rows];
+        for (cid, cluster) in self.clusters().enumerate() {
+            for &row in cluster {
+                probe[row as usize] = cid as u32;
+            }
+        }
+        probe
     }
 
-    /// Partition product against a precomputed signature of the other side.
-    pub fn intersect_with_signature(&self, other_sig: &[Option<usize>]) -> Pli {
-        let mut out: Vec<Vec<usize>> = Vec::new();
-        // lint: allow(no-unordered-iteration) reason="drained groups are sorted by first row index before they leave this function"
-        let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-        for cluster in &self.clusters {
-            groups.clear();
+    /// Partition product Π_X ∩ Π_Y = Π_{X∪Y}, the TANE `STRIPPED_PRODUCT`.
+    ///
+    /// Builds a `u32` row → cluster probe of `other`, then splits each
+    /// cluster of `self` in two passes over one slot table indexed by
+    /// `other`'s cluster ids: the first counts the cluster's rows per id,
+    /// the second claims an output span for every id holding ≥ 2 rows at
+    /// its first row and scatters the rows into it. Each slot resets itself
+    /// when its last row is placed. Linear in `n_rows + ||Π_self||`, plus a
+    /// sort of the output spans by first row when the split clusters of
+    /// later `self` clusters start before those of earlier ones.
+    pub fn intersect(&self, other: &Pli) -> Pli {
+        debug_assert_eq!(self.n_rows, other.n_rows);
+        let probe = other.probe();
+        // Per `other` cluster id: rows of the current `self` cluster not
+        // yet placed, and the write cursor of its output span (NONE until
+        // claimed).
+        let mut pending = vec![0u32; other.cluster_count()];
+        let mut cursor = vec![NONE; other.cluster_count()];
+        let mut rows: Vec<u32> = Vec::new();
+        // (first row, start, end) of every output cluster, in emission order.
+        let mut spans: Vec<(u32, u32, u32)> = Vec::new();
+        for cluster in self.clusters() {
             for &row in cluster {
-                if let Some(oid) = other_sig[row] {
-                    groups.entry(oid).or_default().push(row);
+                let id = probe[row as usize];
+                if id != NONE {
+                    pending[id as usize] += 1;
                 }
             }
-            for (_, g) in groups.drain() {
-                if g.len() >= 2 {
-                    out.push(g);
+            for &row in cluster {
+                let id = probe[row as usize];
+                if id == NONE {
+                    continue;
+                }
+                let id = id as usize;
+                if cursor[id] == NONE {
+                    let count = pending[id] as usize;
+                    if count < 2 {
+                        pending[id] = 0;
+                        continue;
+                    }
+                    let start = rows.len();
+                    rows.resize(start + count, 0);
+                    cursor[id] = start as u32;
+                    spans.push((row, start as u32, (start + count) as u32));
+                }
+                rows[cursor[id] as usize] = row;
+                cursor[id] += 1;
+                pending[id] -= 1;
+                if pending[id] == 0 {
+                    cursor[id] = NONE;
                 }
             }
         }
-        out.sort_by_key(|c| c[0]); // lint: allow(no-literal-index) reason="only groups of len >= 2 are pushed into out"
+        Self::from_spans(rows, spans, self.n_rows)
+    }
+
+    /// Assembles a partition from clusters laid out in `rows` as `spans`
+    /// (first row, start, end), reordering them by first row if needed.
+    fn from_spans(rows: Vec<u32>, mut spans: Vec<(u32, u32, u32)>, n_rows: usize) -> Pli {
+        let mut offsets = Vec::with_capacity(spans.len() + 1);
+        let in_order = spans
+            .iter()
+            .zip(spans.iter().skip(1))
+            .all(|(a, b)| a.0 < b.0);
+        if in_order {
+            for &(_, _, end) in &spans {
+                push_end(&mut offsets, end as usize);
+            }
+            return Pli {
+                rows,
+                offsets,
+                n_rows,
+            };
+        }
+        spans.sort_unstable_by_key(|&(first, _, _)| first);
+        let mut ordered = Vec::with_capacity(rows.len());
+        for &(_, start, end) in &spans {
+            ordered.extend_from_slice(&rows[start as usize..end as usize]);
+            push_end(&mut offsets, ordered.len());
+        }
         Pli {
-            clusters: out,
-            n_rows: self.n_rows,
+            rows: ordered,
+            offsets,
+            n_rows,
         }
     }
 
@@ -230,19 +324,19 @@ impl Pli {
     /// partition of Y — use [`Pli::satisfies_fd`] for that check, which also
     /// handles `other`'s singleton identity correctly.
     pub fn refines(&self, other: &Pli) -> bool {
-        let sig = other.full_signature();
-        self.clusters.iter().all(|cluster| {
-            let first = sig[cluster[0]]; // lint: allow(no-literal-index) reason="Pli invariant: stored clusters always have len >= 2"
-            cluster[1..].iter().all(|&r| sig[r] == first)
-        })
+        self.satisfies_fd(&other.full_signature())
     }
 
     /// Checks the FD X → Y given `self` = Π_X and the full signature of Y
-    /// (`rhs_full_sig`, from [`Pli::full_signature`] of Π_Y).
+    /// (`rhs_full_sig`, from [`Pli::full_signature`] of Π_Y). Returns at
+    /// the first row that disagrees with its cluster's first row.
     pub fn satisfies_fd(&self, rhs_full_sig: &[usize]) -> bool {
-        self.clusters.iter().all(|cluster| {
-            let first = rhs_full_sig[cluster[0]]; // lint: allow(no-literal-index) reason="Pli invariant: stored clusters always have len >= 2"
-            cluster[1..].iter().all(|&r| rhs_full_sig[r] == first)
+        self.clusters().all(|cluster| match cluster.split_first() {
+            Some((&first, rest)) => {
+                let y = rhs_full_sig[first as usize];
+                rest.iter().all(|&r| rhs_full_sig[r as usize] == y)
+            }
+            None => true,
         })
     }
 
@@ -250,18 +344,26 @@ impl Pli {
     /// numerator of the `g3` error (Kivinen & Mannila, paper ref \[14\]).
     ///
     /// For each X-cluster we keep the plurality Y-group and delete the rest;
-    /// X-singletons never violate.
+    /// X-singletons never violate. `rhs_full_sig` is a full signature
+    /// ([`Pli::full_signature`]): its ids index one count table of its own
+    /// length, which each cluster resets through its rows.
     pub fn g3_violations(&self, rhs_full_sig: &[usize]) -> usize {
+        if self.is_key() {
+            return 0;
+        }
+        let mut counts = vec![0u32; rhs_full_sig.len()];
         let mut total = 0;
-        // lint: allow(no-unordered-iteration) reason="only the order-independent maximum of the counts is read"
-        let mut counts: HashMap<usize, usize> = HashMap::new();
-        for cluster in &self.clusters {
-            counts.clear();
+        for cluster in self.clusters() {
+            let mut max = 0;
             for &row in cluster {
-                *counts.entry(rhs_full_sig[row]).or_insert(0) += 1;
+                let count = &mut counts[rhs_full_sig[row as usize]];
+                *count += 1;
+                max = max.max(*count);
             }
-            let max = counts.values().copied().max().unwrap_or(0);
-            total += cluster.len() - max;
+            for &row in cluster {
+                counts[rhs_full_sig[row as usize]] = 0;
+            }
+            total += cluster.len() - max as usize;
         }
         total
     }
@@ -283,11 +385,15 @@ mod tests {
         xs.iter().map(|&x| Value::Int(x)).collect()
     }
 
+    fn groups(p: &Pli) -> Vec<Vec<u32>> {
+        p.clusters().map(<[u32]>::to_vec).collect()
+    }
+
     #[test]
     fn from_column_strips_singletons() {
         // values: a a b c c c  → clusters {0,1} {3,4,5}
         let p = Pli::from_column(&vals(&[1, 1, 2, 3, 3, 3]));
-        assert_eq!(p.clusters(), &[vec![0, 1], vec![3, 4, 5]]);
+        assert_eq!(groups(&p), [vec![0, 1], vec![3, 4, 5]]);
         assert_eq!(p.cluster_count(), 2);
         assert_eq!(p.covered_count(), 5);
         assert!(!p.is_key());
@@ -314,7 +420,7 @@ mod tests {
         let y = Pli::from_column(&vals(&[1, 1, 2, 2, 2]));
         let xy = x.intersect(&y);
         // XY groups: (a,1):{0,1} (a,2):{2} (b,2):{3,4}
-        assert_eq!(xy.clusters(), &[vec![0, 1], vec![3, 4]]);
+        assert_eq!(groups(&xy), [vec![0, 1], vec![3, 4]]);
     }
 
     #[test]
@@ -390,6 +496,24 @@ mod tests {
         assert!(Pli::unit(0).is_key());
         assert!(Pli::unit(1).is_key());
         assert_eq!(Pli::unit(2).cluster_count(), 1);
+        assert_eq!(groups(&Pli::unit(3)), [vec![0, 1, 2]]);
+    }
+
+    #[test]
+    fn product_orders_split_clusters_by_first_row() {
+        // X: {0,3,4} {1,2}; Y: {0,1,2} {3,4}. The split of X's first
+        // cluster yields {3,4}, which must follow {1,2} from its second.
+        let x = Pli::from_codes(&[0, 1, 1, 0, 0], 2);
+        let y = Pli::from_codes(&[0, 0, 0, 1, 1], 2);
+        assert_eq!(groups(&x.intersect(&y)), [vec![1, 2], vec![3, 4]]);
+        assert_eq!(x.intersect(&y), y.intersect(&x));
+    }
+
+    #[test]
+    fn from_codes_orders_clusters_by_first_row() {
+        // Code 2 first occurs before code 0.
+        let p = Pli::from_codes(&[2, 2, 0, 1, 0], 3);
+        assert_eq!(groups(&p), [vec![0, 1], vec![2, 4]]);
     }
 
     #[test]
@@ -404,16 +528,16 @@ mod tests {
     fn from_codes_matches_from_column() {
         // codes: 1 1 2 0 0 3 1 → clusters {0,1,6} {3,4}
         let p = Pli::from_codes(&[1, 1, 2, 0, 0, 3, 1], 4);
-        assert_eq!(p.clusters(), &[vec![0, 1, 6], vec![3, 4]]);
+        assert_eq!(groups(&p), [vec![0, 1, 6], vec![3, 4]]);
         assert_eq!(p, Pli::from_column(&vals(&[1, 1, 2, 0, 0, 3, 1])));
         assert!(Pli::from_codes(&[], 0).is_key());
     }
 
     #[test]
     fn heap_bytes_counts_spine_and_rows() {
+        // 5 clustered rows and the offset spine [0, 2, 5], 4 B each.
         let p = Pli::from_clusters(vec![vec![0, 1], vec![2, 3, 4]], 6);
-        let expected = 2 * std::mem::size_of::<Vec<usize>>() + 5 * std::mem::size_of::<usize>();
-        assert_eq!(p.heap_bytes(), expected);
+        assert_eq!(p.heap_bytes(), 4 * (5 + 3));
         // Key partitions retain nothing.
         assert_eq!(Pli::from_column(&vals(&[1, 2, 3])).heap_bytes(), 0);
     }

@@ -24,7 +24,24 @@ pub struct Relation {
     n_rows: usize,
 }
 
+/// Rejects a row count above [`Relation::MAX_ROWS`] with
+/// [`RelationError::TooManyRows`], before anything that size is built.
+pub(crate) fn check_row_count(rows: usize) -> Result<()> {
+    if rows > Relation::MAX_ROWS {
+        return Err(RelationError::TooManyRows {
+            rows,
+            max: Relation::MAX_ROWS,
+        });
+    }
+    Ok(())
+}
+
 impl Relation {
+    /// The largest number of rows a relation may hold: partitions index
+    /// rows as `u32` ([`crate::Pli`]). Every constructor returns
+    /// [`RelationError::TooManyRows`] beyond it rather than truncating.
+    pub const MAX_ROWS: usize = u32::MAX as usize;
+
     /// Creates an empty relation with the given schema.
     pub fn empty(schema: Schema) -> Self {
         let columns = (0..schema.arity()).map(|_| Column::default()).collect();
@@ -58,6 +75,7 @@ impl Relation {
             });
         }
         let n_rows = columns.first().map_or(0, Vec::len);
+        check_row_count(n_rows)?;
         let mut typed = Vec::with_capacity(columns.len());
         for (i, col) in columns.into_iter().enumerate() {
             let attr = schema.attribute(i)?.clone();
@@ -93,6 +111,7 @@ impl Relation {
             });
         }
         let n_rows = columns.first().map_or(0, Column::len);
+        check_row_count(n_rows)?;
         for (i, col) in columns.iter().enumerate() {
             let attr = schema.attribute(i)?;
             if col.len() != n_rows {
@@ -219,6 +238,7 @@ impl Relation {
     /// (in the given order). Used to realise PSI-aligned intersections.
     /// Dictionary-encoded columns copy codes, not strings.
     pub fn select_rows(&self, row_indices: &[usize]) -> Result<Relation> {
+        check_row_count(row_indices.len())?;
         for &r in row_indices {
             if r >= self.n_rows {
                 return Err(RelationError::IndexOutOfBounds {
@@ -244,6 +264,7 @@ impl Relation {
                 got: row.len(),
             });
         }
+        check_row_count(self.n_rows + 1)?;
         for (i, v) in row.iter().enumerate() {
             check_kind(self.schema.attribute(i)?, &self.columns[i], v)?;
         }
@@ -264,6 +285,7 @@ impl Relation {
                 got: other.schema().arity(),
             });
         }
+        check_row_count(self.n_rows.saturating_add(other.n_rows))?;
         for (mine, theirs) in self.columns.iter_mut().zip(&other.columns) {
             mine.extend_from(theirs);
         }
@@ -381,6 +403,7 @@ impl RelationBuilder {
                 got: row.len(),
             });
         }
+        check_row_count(self.n_rows + 1)?;
         for (b, v) in self.builders.iter().zip(&row) {
             b.check(v)?;
         }
@@ -697,5 +720,19 @@ mod tests {
         let r = sample();
         let d = r.to_string();
         assert!(d.contains("Alice"));
+    }
+
+    #[test]
+    fn row_count_cap_is_u32_max() {
+        // The helper judges a count, so the boundary is tested without
+        // allocating four billion rows.
+        let max = u32::MAX as usize;
+        assert_eq!(Relation::MAX_ROWS, max);
+        assert_eq!(check_row_count(0), Ok(()));
+        assert_eq!(check_row_count(max), Ok(()));
+        let err = check_row_count(max + 1).unwrap_err();
+        assert_eq!(err, RelationError::TooManyRows { rows: max + 1, max });
+        assert!(err.to_string().contains("4294967296 rows"));
+        assert!(check_row_count(usize::MAX).is_err());
     }
 }

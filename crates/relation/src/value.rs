@@ -81,6 +81,19 @@ pub(crate) fn float_total_cmp(a: f64, b: f64) -> Ordering {
     }
 }
 
+/// Exact order of an integer against a float: compare as floats, and
+/// fall back to the exact integer order when the float comparison ties,
+/// since `i as f64` rounds above 2^53. On a tie `f` is integral and within
+/// `i128`, so the fallback is exact and the order stays transitive (e.g.
+/// `Int(2^53 + 1)` sorts above `Float(2^53)`, as it does above `Int(2^53)`).
+#[inline]
+fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    match float_total_cmp(i as f64, f) {
+        Ordering::Equal => (i as i128).cmp(&(f as i128)),
+        o => o,
+    }
+}
+
 impl Value {
     /// Returns `true` if the value is [`Value::Null`].
     #[inline]
@@ -226,17 +239,8 @@ impl Ord for ValueRef<'_> {
             (Int(a), Int(b)) => a.cmp(b),
             (Text(a), Text(b)) => a.cmp(b),
             (Float(a), Float(b)) => float_total_cmp(*a, *b),
-            // Cross numeric comparison: compare as floats, fall back to the
-            // exact integer order when the float comparison ties (guards
-            // against precision loss above 2^53).
-            (Int(a), Float(b)) => match float_total_cmp(*a as f64, *b) {
-                Ordering::Equal => Ordering::Equal,
-                o => o,
-            },
-            (Float(a), Int(b)) => match float_total_cmp(*a, *b as f64) {
-                Ordering::Equal => Ordering::Equal,
-                o => o,
-            },
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).reverse(),
             _ => self.type_rank().cmp(&other.type_rank()),
         }
     }
@@ -424,6 +428,27 @@ mod tests {
         let a = Value::Int(i64::MAX);
         let b = Value::Int(i64::MAX - 1);
         assert!(a > b);
+    }
+
+    #[test]
+    fn large_int_against_float_orders_exactly() {
+        // 2^53 + 1 rounds to 2^53 as a float; the order must still be
+        // transitive: Int(2^53) == Float(2^53) < Int(2^53 + 1).
+        let big = 1i64 << 53;
+        assert_eq!(Value::Int(big), Value::Float(big as f64));
+        assert!(Value::Int(big + 1) > Value::Float(big as f64));
+        assert!(Value::Float(big as f64) < Value::Int(big + 1));
+        assert!(Value::Int(i64::MAX) < Value::Float(i64::MAX as f64));
+        assert!(Value::Int(i64::MIN) == Value::Float(i64::MIN as f64));
+        let mut vals = vec![
+            Value::Int(big + 1),
+            Value::Float(big as f64),
+            Value::Int(big),
+            Value::Int(big + 1),
+        ];
+        vals.sort();
+        vals.dedup();
+        assert_eq!(vals, [Value::Float(big as f64), Value::Int(big + 1)]);
     }
 
     #[test]
