@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mp_core::{measure_all, run_attack, ExperimentConfig};
 use mp_datasets::{all_classes_spec, echocardiogram, verified_dependencies};
-use mp_federated::{align, bloom_candidate_rows, BloomFilter};
+use mp_federated::{bloom_candidate_rows, multi_align, BloomFilter};
 use mp_metadata::{DomainGeneralization, MetadataPackage};
 use mp_synth::{Adversary, SynthConfig};
 use std::hint::black_box;
@@ -75,7 +75,7 @@ fn bench_psi_variants(c: &mut Criterion) {
     let b = data.ecommerce.relation.column_values(0).unwrap();
     let mut group = c.benchmark_group("psi_variants");
     group.bench_function("digest_align", |bench| {
-        bench.iter(|| align(black_box(&a), black_box(&b), 42))
+        bench.iter(|| multi_align(black_box(&[&a, &b]), 42))
     });
     group.bench_function("bloom_build_and_probe", |bench| {
         bench.iter(|| {

@@ -5,12 +5,14 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use mp_federated::{
-    simulate_setup, FaultPlan, MultiPartySession, Party, PerfectTransport, RetryConfig,
+    run_setup_protocol, simulate_setup, FaultPlan, Party, PerfectTransport, RetryConfig,
 };
 use mp_metadata::SharePolicy;
 use std::hint::black_box;
 
-fn session(rows: usize) -> MultiPartySession {
+const SALT: u64 = 0xF1A7;
+
+fn parties(rows: usize) -> Vec<Party> {
     let data = mp_datasets::fintech_scenario(rows, 42);
     let bank = Party::new("bank", data.bank.relation, 0, data.bank.dependencies).unwrap();
     let ecom = Party::new(
@@ -20,7 +22,7 @@ fn session(rows: usize) -> MultiPartySession {
         data.ecommerce.dependencies,
     )
     .unwrap();
-    MultiPartySession::new(vec![bank, ecom], 0xF1A7)
+    vec![bank, ecom]
 }
 
 fn policies() -> Vec<SharePolicy> {
@@ -30,7 +32,7 @@ fn policies() -> Vec<SharePolicy> {
 /// Setup wall-clock vs drop rate: retransmissions and back-off stretch
 /// the virtual run, and this measures what that costs in real time.
 fn bench_setup_vs_fault_rate(c: &mut Criterion) {
-    let sess = session(120);
+    let parties = parties(120);
     let pols = policies();
     let retry = RetryConfig::default();
     let mut group = c.benchmark_group("sim_setup_vs_drop_rate");
@@ -44,7 +46,7 @@ fn bench_setup_vs_fault_rate(c: &mut Criterion) {
                         drop_rate: f64::from(pct) / 100.0,
                         ..FaultPlan::fault_free(7)
                     };
-                    simulate_setup(black_box(&sess), &pols, &plan, &retry)
+                    simulate_setup(black_box(&parties), &pols, SALT, &plan, &retry)
                 })
             },
         );
@@ -52,26 +54,29 @@ fn bench_setup_vs_fault_rate(c: &mut Criterion) {
     group.finish();
 }
 
-/// The simulator's overhead over the direct (non-transport) setup path:
-/// perfect-transport simulation vs `MultiPartySession::run_setup`.
+/// The simulator's overhead over the plain setup path: a fault-free
+/// simulation vs the engine over a `PerfectTransport`.
 fn bench_sim_overhead(c: &mut Criterion) {
-    let sess = session(120);
+    let parties = parties(120);
     let pols = policies();
     let retry = RetryConfig::default();
     let mut group = c.benchmark_group("sim_overhead");
-    group.bench_function("direct_setup", |b| {
-        b.iter(|| black_box(&sess).run_setup(&pols).unwrap())
-    });
     group.bench_function("perfect_transport", |b| {
         b.iter(|| {
             let mut t = PerfectTransport::new(2);
-            black_box(&sess)
-                .run_setup_over(&pols, &mut t, &retry)
-                .unwrap()
+            run_setup_protocol(black_box(&parties), &pols, SALT, &mut t, &retry).unwrap()
         })
     });
     group.bench_function("fault_free_sim", |b| {
-        b.iter(|| simulate_setup(black_box(&sess), &pols, &FaultPlan::fault_free(7), &retry))
+        b.iter(|| {
+            simulate_setup(
+                black_box(&parties),
+                &pols,
+                SALT,
+                &FaultPlan::fault_free(7),
+                &retry,
+            )
+        })
     });
     group.finish();
 }

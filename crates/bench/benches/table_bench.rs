@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mp_bench::tables;
 use mp_core::ExperimentConfig;
 use mp_datasets::{echocardiogram, fintech_scenario};
-use mp_federated::{align, train, FeatureBlock, TrainConfig};
+use mp_federated::{multi_align, train, FeatureBlock, TrainConfig};
 use mp_relation::Domain;
 use std::hint::black_box;
 
@@ -58,7 +58,7 @@ fn bench_psi(c: &mut Criterion) {
         let ids_a = data.bank.relation.column_values(0).unwrap();
         let ids_b = data.ecommerce.relation.column_values(0).unwrap();
         group.bench_function(BenchmarkId::from_parameter(n), |b| {
-            b.iter(|| align(black_box(&ids_a), black_box(&ids_b), 42))
+            b.iter(|| multi_align(black_box(&[&ids_a, &ids_b]), 42))
         });
     }
     group.finish();

@@ -23,10 +23,10 @@ fn main() {
         fault_budget,
         ..CheckConfig::default()
     };
-    let (session, policies) = small_world_session(parties).expect("session bounds");
+    let (members, policies, salt) = small_world_session(parties).expect("session bounds");
 
     let start = Instant::now();
-    let report = model_check(&session, &policies, &cfg).expect("model check setup");
+    let report = model_check(&members, &policies, salt, &cfg).expect("model check setup");
     let elapsed = start.elapsed().as_secs_f64();
     let states_per_sec = report.total_states as f64 / elapsed.max(1e-9);
 

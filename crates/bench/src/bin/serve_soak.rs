@@ -18,8 +18,8 @@
 
 use mp_federated::net::{encode_frame, FramedStream, ReadStep, SessionFrame, SocketStream};
 use mp_federated::{
-    outcome_matches, run_client_session, ClientConfig, MultiPartySession, MultiSetupOutcome, Party,
-    RetryConfig, ServeConfig, Server, SetupError,
+    outcome_matches, run_client_session, run_setup_protocol, ClientConfig, MultiSetupOutcome,
+    Party, PerfectTransport, RetryConfig, ServeConfig, Server, SetupError,
 };
 use mp_metadata::SharePolicy;
 use mp_observe::NoopRecorder;
@@ -232,9 +232,14 @@ fn main() {
         .unwrap_or(64);
 
     let parties = parties();
-    let reference = MultiPartySession::new(parties.clone(), SALT)
-        .run_setup(&POLICIES)
-        .expect("in-process reference setup");
+    let reference = run_setup_protocol(
+        &parties,
+        &POLICIES,
+        SALT,
+        &mut PerfectTransport::new(parties.len()),
+        &RetryConfig::default(),
+    )
+    .expect("in-process reference setup");
 
     let cfg = ServeConfig {
         io_tick: Duration::from_millis(1),

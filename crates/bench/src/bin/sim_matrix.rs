@@ -6,13 +6,12 @@
 //! Usage: `sim_matrix [seeds]` (default 32).
 
 use mp_federated::{
-    check_invariants, simulate_setup, FaultPlan, MultiPartySession, Party, RetryConfig,
-    FAULT_PROFILES,
+    check_invariants, simulate_setup, FaultPlan, Party, RetryConfig, FAULT_PROFILES,
 };
 use mp_metadata::SharePolicy;
 use std::time::Instant;
 
-fn session(rows: usize) -> MultiPartySession {
+fn parties(rows: usize) -> Vec<Party> {
     let data = mp_datasets::fintech_scenario(rows, 42);
     let bank = Party::new("bank", data.bank.relation, 0, data.bank.dependencies).unwrap();
     let ecom = Party::new(
@@ -22,7 +21,7 @@ fn session(rows: usize) -> MultiPartySession {
         data.ecommerce.dependencies,
     )
     .unwrap();
-    MultiPartySession::new(vec![bank, ecom], 0xF1A7)
+    vec![bank, ecom]
 }
 
 fn main() {
@@ -30,7 +29,8 @@ fn main() {
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(32);
-    let sess = session(120);
+    let parties = parties(120);
+    let salt = 0xF1A7;
     let policies = vec![SharePolicy::PAPER_RECOMMENDED, SharePolicy::FULL];
     let retry = RetryConfig::default();
 
@@ -44,9 +44,9 @@ fn main() {
         let mut total_ticks = 0u64;
         let mut total_sent = 0usize;
         for seed in 0..seeds {
-            let plan = FaultPlan::from_names(profile, seed, sess.parties.len()).unwrap();
+            let plan = FaultPlan::from_names(profile, seed, parties.len()).unwrap();
             let start = Instant::now();
-            match check_invariants(&sess, &policies, &plan, &retry) {
+            match check_invariants(&parties, &policies, salt, &plan, &retry) {
                 Ok(report) => {
                     if report.completed {
                         completed += 1;
@@ -90,7 +90,7 @@ fn main() {
                 ..FaultPlan::fault_free(seed)
             };
             let start = Instant::now();
-            let sim = simulate_setup(&sess, &policies, &plan, &retry);
+            let sim = simulate_setup(&parties, &policies, salt, &plan, &retry);
             ms.push(start.elapsed().as_secs_f64() * 1e3);
             retx += sim.summary.retransmissions;
             ticks += sim.ticks;

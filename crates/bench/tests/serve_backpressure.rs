@@ -6,8 +6,8 @@
 
 use mp_federated::net::{FramedStream, ReadStep, SessionFrame, SocketStream};
 use mp_federated::{
-    outcome_matches, run_client_session, ClientConfig, MultiPartySession, Party, RetryConfig,
-    ServeConfig, Server, SetupError,
+    outcome_matches, run_client_session, run_setup_protocol, ClientConfig, Party, PerfectTransport,
+    RetryConfig, ServeConfig, Server, SetupError,
 };
 use mp_metadata::SharePolicy;
 use mp_observe::NoopRecorder;
@@ -80,9 +80,14 @@ fn stalled_party(addr: String, session: u64, release: Arc<AtomicBool>) {
 #[test]
 fn one_stalled_session_never_blocks_eight_clean_ones() {
     let parties = parties();
-    let reference = MultiPartySession::new(parties.clone(), SALT)
-        .run_setup(&POLICIES)
-        .expect("reference setup");
+    let reference = run_setup_protocol(
+        &parties,
+        &POLICIES,
+        SALT,
+        &mut PerfectTransport::new(parties.len()),
+        &RetryConfig::default(),
+    )
+    .expect("reference setup");
     let retry = fast_retry();
     let cfg = ServeConfig {
         io_tick: Duration::from_millis(1),

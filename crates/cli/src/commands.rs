@@ -8,9 +8,9 @@ use mp_discovery::{
     DependencyProfile, DiscoveryContext, MemoryBudget, ParallelConfig, ProfileConfig,
 };
 use mp_federated::{
-    check_invariants, model_check, outcome_matches, run_client_session, simulate_setup_observed,
-    small_world_session, CheckConfig, ClientConfig, FaultPlan, MultiPartySession, Party,
-    RetryConfig, ServeConfig, Server,
+    check_invariants, model_check, outcome_matches, run_client_session, run_setup_protocol,
+    simulate_setup_observed, small_world_session, CheckConfig, ClientConfig, FaultPlan, Party,
+    PerfectTransport, RetryConfig, ServeConfig, Server,
 };
 use mp_metadata::{MetadataPackage, SharePolicy};
 use mp_observe::{NoopRecorder, Recorder};
@@ -337,12 +337,13 @@ pub fn simulate_observed(
         data.ecommerce.dependencies,
     )
     .map_err(|e| e.to_string())?;
-    let session = MultiPartySession::new(vec![bank, ecom], 0xF1A7);
-    let policies = vec![SharePolicy::PAPER_RECOMMENDED, SharePolicy::FULL];
+    let parties = [bank, ecom];
+    let policies = [SharePolicy::PAPER_RECOMMENDED, SharePolicy::FULL];
+    let salt = 0xF1A7;
 
-    let plan = FaultPlan::from_names(faults, seed, session.parties.len())?;
+    let plan = FaultPlan::from_names(faults, seed, parties.len())?;
     let retry = RetryConfig::default();
-    let sim = simulate_setup_observed(&session, &policies, &plan, &retry, recorder);
+    let sim = simulate_setup_observed(&parties, &policies, salt, &plan, &retry, recorder);
 
     let mut out = format!("fault simulation: seed {seed}, faults [{faults}], {rows} rows/party\n");
     out.push_str(&format!(
@@ -354,7 +355,7 @@ pub fn simulate_observed(
     ));
     out.push_str(&format!("trace: {}\n", sim.summary));
 
-    if let Err(violation) = check_invariants(&session, &policies, &plan, &retry) {
+    if let Err(violation) = check_invariants(&parties, &policies, salt, &plan, &retry) {
         return Err(format!("invariant violated: {violation}\n{out}"));
     }
     out.push_str("invariants: hold (bit-identical outcome, redaction audit, typed aborts)\n");
@@ -411,11 +412,16 @@ pub fn serve_drive(
     let parties = serve_parties(rows)?;
     let policies = [SharePolicy::PAPER_RECOMMENDED, SharePolicy::FULL];
     let salt = 0xF1A7;
-    let reference = MultiPartySession::new(parties.clone(), salt)
-        .run_setup(&policies)
-        .map_err(|e| format!("in-process reference setup failed: {e}"))?;
-
     let retry = RetryConfig::default();
+    let reference = run_setup_protocol(
+        &parties,
+        &policies,
+        salt,
+        &mut PerfectTransport::new(parties.len()),
+        &retry,
+    )
+    .map_err(|e| format!("in-process reference setup failed: {e}"))?;
+
     let server = Server::start("127.0.0.1:0", ServeConfig::from_retry(&retry), recorder)
         .map_err(|e| format!("cannot bind serve socket: {e}"))?;
     let addr = server.addr().to_owned();
@@ -520,14 +526,14 @@ pub fn check(
     delay: u64,
     crash_points: u64,
 ) -> Result<String, String> {
-    let (session, policies) = small_world_session(parties)?;
+    let (members, policies, salt) = small_world_session(parties)?;
     let cfg = CheckConfig {
         max_ticks: ticks,
         fault_budget: budget,
         max_delay: delay,
         crash_points,
     };
-    let report = model_check(&session, &policies, &cfg)?;
+    let report = model_check(&members, &policies, salt, &cfg)?;
 
     let mut out = format!(
         "exhaustive model check: {} parties, ticks ≤ {}, fault budget {}, delay ≤ {}, crash points {}\n",

@@ -158,7 +158,7 @@ pub fn bloom_candidate_rows_windowed(filters: &[BloomFilter], ids_b: &[Value]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::psi::align;
+    use crate::multi_align;
 
     fn ids(range: std::ops::Range<i64>) -> Vec<Value> {
         range.map(Value::Int).collect()
@@ -183,9 +183,9 @@ mod tests {
             f.insert(id);
         }
         let candidates = bloom_candidate_rows(&f, &b);
-        let exact = align(&a, &b, 3);
+        let exact = multi_align(&[&a, &b], 3);
         // Every exact-intersection row of B is among the candidates.
-        for &rb in &exact.rows_b {
+        for &rb in &exact.rows[1] {
             assert!(candidates.contains(&rb), "missed true member row {rb}");
         }
         assert!(candidates.len() >= exact.len());
@@ -273,8 +273,8 @@ mod tests {
         let b = ids(250..400);
         let filters = windowed_filters(&a, 64, 48, 4, 9);
         let candidates = bloom_candidate_rows_windowed(&filters, &b);
-        let exact = align(&a, &b, 9);
-        for &rb in &exact.rows_b {
+        let exact = multi_align(&[&a, &b], 9);
+        for &rb in &exact.rows[1] {
             assert!(candidates.contains(&rb), "missed true member row {rb}");
         }
     }

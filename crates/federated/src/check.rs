@@ -22,7 +22,7 @@
 //! to `send` consults the next entry of a [`Decision`] vector (deliver,
 //! drop, duplicate, or delay by `1..=max_delay` ticks; a delayed message
 //! overtakes later traffic, which is exactly reordering). A run is
-//! therefore a pure function of `(session, policies, crash schedule,
+//! therefore a pure function of `(parties, policies, crash schedule,
 //! decision vector)`, and enumerating all decision vectors with at most
 //! `fault_budget` non-deliver entries — crossed with every crash point
 //! `(party, after_sends)` and the no-crash schedule — covers every
@@ -38,9 +38,8 @@
 //! budget have identical futures (the machines are deterministic
 //! functions of the delivered history), so the second is pruned.
 
-use crate::multiparty::MultiPartySession;
 use crate::party::Party;
-use crate::protocol::{RetryConfig, SetupError};
+use crate::protocol::{run_setup_protocol, RetryConfig, SetupError};
 use crate::sim::{verify_run, InvariantViolation, PartyCrash, TraceSummary};
 use crate::transport::{Envelope, PartyId, PerfectTransport, TraceEvent, Transport};
 use mp_metadata::{Fd, SharePolicy};
@@ -350,10 +349,10 @@ impl Transport for ScheduleTransport {
 /// paper's presets (recommended, full, names-only). Small on purpose —
 /// exhaustive enumeration cost is exponential in wire traffic, and the
 /// protocol surface (PSI, metadata exchange, acks, retries, crashes) is
-/// identical at any scale. Errors for counts outside `2..=MAX_PARTIES`.
-pub fn small_world_session(
-    parties: usize,
-) -> Result<(MultiPartySession, Vec<SharePolicy>), String> {
+/// identical at any scale. Returns the parties, their policies and the
+/// PSI salt, in the order [`crate::run_setup_protocol`] takes them.
+/// Errors for counts outside `2..=MAX_PARTIES`.
+pub fn small_world_session(parties: usize) -> Result<(Vec<Party>, Vec<SharePolicy>, u64), String> {
     if !(2..=MAX_PARTIES).contains(&parties) {
         return Err(format!(
             "exhaustive checking needs 2..={MAX_PARTIES} parties; got {parties}"
@@ -377,7 +376,7 @@ pub fn small_world_session(
     .cycle()
     .take(parties)
     .collect();
-    Ok((MultiPartySession::new(members, 0xBEEF), policies))
+    Ok((members, policies, 0xBEEF))
 }
 
 fn small_party(name: &str, ids: &[&str], with_deps: bool) -> Result<Party, String> {
@@ -421,16 +420,17 @@ fn describe_schedule(crash: Option<PartyCrash>, schedule: &[Decision]) -> String
     parts.join("; ")
 }
 
-/// Exhaustively model-checks `session` under `policies` within the
-/// bounds of `cfg`. Errors (rather than silently truncating) if the
-/// session has more than [`MAX_PARTIES`] parties or the fault-free
-/// reference run fails.
+/// Exhaustively model-checks the setup of `parties` under `policies` and
+/// PSI `salt` within the bounds of `cfg`. Errors (rather than silently
+/// truncating) if there are more than [`MAX_PARTIES`] parties or the
+/// fault-free reference run fails.
 pub fn model_check(
-    session: &MultiPartySession,
+    parties: &[Party],
     policies: &[SharePolicy],
+    salt: u64,
     cfg: &CheckConfig,
 ) -> Result<CheckReport, String> {
-    let n = session.parties.len();
+    let n = parties.len();
     if n > MAX_PARTIES {
         return Err(format!(
             "exhaustive checking is bounded to {MAX_PARTIES} parties; got {n}"
@@ -443,8 +443,7 @@ pub fn model_check(
 
     // Fault-free reference outcome.
     let mut reference_transport = PerfectTransport::new(n);
-    let reference = session
-        .run_setup_over(policies, &mut reference_transport, &retry)
+    let reference = run_setup_protocol(parties, policies, salt, &mut reference_transport, &retry)
         .map_err(|e| format!("fault-free reference run failed: {e}"))?;
 
     // The decision alphabet of non-default outcomes.
@@ -488,7 +487,7 @@ pub fn model_check(
         let mut expanded: HashSet<(u64, usize)> = HashSet::new();
         while let Some(prefix) = stack.pop() {
             let mut transport = ScheduleTransport::new(n, prefix.clone(), crash);
-            let result = session.run_setup_over(policies, &mut transport, &retry);
+            let result = run_setup_protocol(parties, policies, salt, &mut transport, &retry);
             report.runs += 1;
             match &result {
                 Ok(_) => report.completed += 1,
@@ -528,7 +527,7 @@ pub fn model_check(
                 None => &[],
             };
             if let Err(violation) = verify_run(
-                &session.parties,
+                parties,
                 policies,
                 &reference,
                 &result,
@@ -577,46 +576,26 @@ pub fn model_check(
 mod tests {
     use super::*;
 
-    fn two_party_session() -> MultiPartySession {
-        small_world_session(2).unwrap().0
-    }
-
-    fn three_party_session() -> MultiPartySession {
-        small_world_session(3).unwrap().0
-    }
-
-    fn policies(n: usize) -> Vec<SharePolicy> {
-        [
-            SharePolicy::PAPER_RECOMMENDED,
-            SharePolicy::FULL,
-            SharePolicy::NAMES_ONLY,
-        ]
-        .into_iter()
-        .cycle()
-        .take(n)
-        .collect()
-    }
-
     #[test]
     fn small_world_session_enforces_party_bounds() {
         assert!(small_world_session(1).is_err());
         assert!(small_world_session(MAX_PARTIES + 1).is_err());
         for n in 2..=MAX_PARTIES {
-            let (session, pols) = small_world_session(n).unwrap();
-            assert_eq!(session.parties.len(), n);
+            let (parties, pols, _) = small_world_session(n).unwrap();
+            assert_eq!(parties.len(), n);
             assert_eq!(pols.len(), n);
         }
     }
 
     #[test]
     fn budget_zero_explores_exactly_crash_schedules() {
-        let s = two_party_session();
+        let (s, pols, salt) = small_world_session(2).unwrap();
         let cfg = CheckConfig {
             fault_budget: 0,
             crash_points: 2,
             ..CheckConfig::default()
         };
-        let report = model_check(&s, &policies(2), &cfg).unwrap();
+        let report = model_check(&s, &pols, salt, &cfg).unwrap();
         // One run per crash schedule: no-crash + 2 parties × 2 points.
         assert_eq!(report.runs, 5);
         assert_eq!(report.crash_schedules, 5);
@@ -627,14 +606,14 @@ mod tests {
 
     #[test]
     fn single_fault_layer_is_clean_and_exhaustive() {
-        let s = two_party_session();
+        let (s, pols, salt) = small_world_session(2).unwrap();
         let cfg = CheckConfig {
             fault_budget: 1,
             max_delay: 1,
             crash_points: 1,
             ..CheckConfig::default()
         };
-        let report = model_check(&s, &policies(2), &cfg).unwrap();
+        let report = model_check(&s, &pols, salt, &cfg).unwrap();
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         // The fault-free run consults max_depth decision points; layer one
         // adds 3 alternatives per point, bar pruning.
@@ -650,14 +629,14 @@ mod tests {
 
     #[test]
     fn three_parties_small_budget_is_clean() {
-        let s = three_party_session();
+        let (s, pols, salt) = small_world_session(3).unwrap();
         let cfg = CheckConfig {
             fault_budget: 1,
             max_delay: 1,
             crash_points: 2,
             ..CheckConfig::default()
         };
-        let report = model_check(&s, &policies(3), &cfg).unwrap();
+        let report = model_check(&s, &pols, salt, &cfg).unwrap();
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.parties, 3);
         assert!(report.aborted_crashed > 0);
@@ -666,15 +645,15 @@ mod tests {
 
     #[test]
     fn determinism_same_config_same_report() {
-        let s = two_party_session();
+        let (s, pols, salt) = small_world_session(2).unwrap();
         let cfg = CheckConfig {
             fault_budget: 1,
             max_delay: 1,
             crash_points: 1,
             ..CheckConfig::default()
         };
-        let a = model_check(&s, &policies(2), &cfg).unwrap();
-        let b = model_check(&s, &policies(2), &cfg).unwrap();
+        let a = model_check(&s, &pols, salt, &cfg).unwrap();
+        let b = model_check(&s, &pols, salt, &cfg).unwrap();
         assert_eq!(a, b);
     }
 
@@ -683,8 +662,8 @@ mod tests {
         let parties: Vec<Party> = (0..4)
             .map(|i| small_party(&format!("p{i}"), &["u1"], false).unwrap())
             .collect();
-        let s = MultiPartySession::new(parties, 1);
-        assert!(model_check(&s, &policies(4), &CheckConfig::default()).is_err());
+        let pols = [SharePolicy::FULL; 4];
+        assert!(model_check(&parties, &pols, 1, &CheckConfig::default()).is_err());
     }
 
     #[test]

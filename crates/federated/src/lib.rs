@@ -8,10 +8,10 @@
 //! * [`psi`] — simulated hash-based private set intersection producing the
 //!   canonical row alignment that fixes the tuple index of the paper's
 //!   Definitions 2.2/2.3;
-//! * [`VflSession`] — the setup protocol: PSI, then metadata exchange
-//!   under per-party [`mp_metadata::SharePolicy`] redactions, run as
-//!   typed messages over a [`transport::Transport`] with retries and
-//!   idempotent receipt;
+//! * [`run_setup_protocol`] — the setup protocol for any number of
+//!   parties: PSI, then metadata exchange under per-party
+//!   [`mp_metadata::SharePolicy`] redactions, run as typed messages over
+//!   a [`transport::Transport`] with retries and idempotent receipt;
 //! * [`sim`] — a deterministic, seed-replayable fault-injection simulator
 //!   (drop / duplicate / reorder / delay / party-crash) plus the invariant
 //!   harness that checks completed setups are bit-identical to the
@@ -50,18 +50,14 @@ pub use model::{
     auc, holdout_split, labels_from_column, train, FeatureBlock, FederatedModel, PartyModel,
     TrainConfig,
 };
-pub use multiparty::{multi_align, MultiAlignment, MultiPartySession, MultiSetupOutcome};
+pub use multiparty::{multi_align, MultiAlignment, MultiSetupOutcome};
 pub use net::{
     decode_stream, encode_frame, encode_stream, AbortReason, FrameBuffer, FrameError, FramedStream,
     SessionFrame, SocketStream, MAX_FRAME_BYTES,
 };
 pub use party::Party;
-pub use protocol::{
-    run_setup_protocol, run_setup_protocol_observed, RetryConfig, SetupError, SetupOutcome,
-    VflSession,
-};
-pub use psi::{align, PsiAlignment};
-pub use scenario::{run_scenario, run_scenario_over, ScenarioOutcome};
+pub use protocol::{run_setup_protocol, run_setup_protocol_observed, RetryConfig, SetupError};
+pub use scenario::{run_scenario, ScenarioOutcome};
 pub use serve::{
     outcome_matches, run_client_session, BoundedQueue, ClientConfig, PartyOutcome, ServeConfig,
     ServeReport, Server, SocketListener, SocketTransport,

@@ -3,15 +3,13 @@
 //! The paper's exposition is two-party (Figure 1), but nothing in its
 //! analysis depends on that: with `k` silos the setup phase runs a k-way
 //! PSI and a full metadata broadcast, and every pairwise exchange carries
-//! the same §III/§IV leakage surface. This module generalises
-//! [`crate::VflSession`] accordingly.
+//! the same §III/§IV leakage surface. This module holds the k-party
+//! alignment and setup outcome types that [`crate::run_setup_protocol`]
+//! produces; two parties are simply `k = 2`.
 
-use crate::party::Party;
-use crate::protocol::{run_setup_protocol, run_setup_protocol_observed, RetryConfig, SetupError};
 use crate::psi::{intersect_all, submit, IdDigest};
-use crate::transport::{PerfectTransport, Transport};
-use mp_metadata::{MetadataPackage, SharePolicy};
-use mp_relation::{Relation, Result};
+use mp_metadata::MetadataPackage;
+use mp_relation::Relation;
 
 /// Alignment of N parties over their common entities: `rows[p][i]` is the
 /// row of party `p` holding the i-th common entity (same `i` ⇒ same
@@ -56,71 +54,14 @@ pub struct MultiSetupOutcome {
     pub metadata: Vec<MetadataPackage>,
 }
 
-/// An N-party VFL session.
-#[derive(Debug, Clone)]
-pub struct MultiPartySession {
-    /// The participants; by convention party 0 is the active (label) party.
-    pub parties: Vec<Party>,
-    /// Shared PSI salt.
-    pub salt: u64,
-}
-
-impl MultiPartySession {
-    /// Creates a session over at least one party.
-    pub fn new(parties: Vec<Party>, salt: u64) -> Self {
-        Self { parties, salt }
-    }
-
-    /// Runs k-way PSI and the metadata broadcast over a fault-free
-    /// transport; `policies[p]` governs what party `p` discloses to the
-    /// rest.
-    pub fn run_setup(&self, policies: &[SharePolicy]) -> Result<MultiSetupOutcome> {
-        let mut transport = PerfectTransport::new(self.parties.len());
-        self.run_setup_over(policies, &mut transport, &RetryConfig::default())
-            .map_err(|e| match e {
-                SetupError::Data(inner) => inner,
-                other => mp_relation::RelationError::Io(other.to_string()),
-            })
-    }
-
-    /// Runs the setup protocol over an arbitrary [`Transport`] — the
-    /// entry point of the fault simulator ([`crate::sim`]). Fails closed
-    /// with a typed [`SetupError`] when the transport defeats the retry
-    /// budget.
-    pub fn run_setup_over(
-        &self,
-        policies: &[SharePolicy],
-        transport: &mut dyn Transport,
-        retry: &RetryConfig,
-    ) -> std::result::Result<MultiSetupOutcome, SetupError> {
-        run_setup_protocol(&self.parties, policies, self.salt, transport, retry)
-    }
-
-    /// [`run_setup_over`](Self::run_setup_over) with an explicit
-    /// [`mp_observe::Recorder`]; see
-    /// [`run_setup_protocol_observed`] for what gets recorded.
-    pub fn run_setup_over_observed(
-        &self,
-        policies: &[SharePolicy],
-        transport: &mut dyn Transport,
-        retry: &RetryConfig,
-        recorder: &dyn mp_observe::Recorder,
-    ) -> std::result::Result<MultiSetupOutcome, SetupError> {
-        run_setup_protocol_observed(
-            &self.parties,
-            policies,
-            self.salt,
-            transport,
-            retry,
-            recorder,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mp_relation::{Attribute, Schema, Value};
+    use crate::party::Party;
+    use crate::protocol::{run_setup_protocol, RetryConfig, SetupError};
+    use crate::transport::PerfectTransport;
+    use mp_metadata::SharePolicy;
+    use mp_relation::{Attribute, RelationError, Schema, Value};
 
     fn party(name: &str, ids: &[&str], feature: &str) -> Party {
         let schema = Schema::new(vec![
@@ -145,14 +86,19 @@ mod tests {
         let b = party("b", &["u4", "u2", "u9"], "fb");
         let c = party("c", &["u2", "u4", "u7"], "fc");
         let ids: Vec<Vec<Value>> = [&a, &b, &c].iter().map(|p| p.ids().unwrap()).collect();
-        let session = MultiPartySession::new(vec![a, b, c], 42);
-        let out = session
-            .run_setup(&[
+        let mut transport = PerfectTransport::new(3);
+        let out = run_setup_protocol(
+            &[a, b, c],
+            &[
                 SharePolicy::FULL,
                 SharePolicy::FULL,
                 SharePolicy::NAMES_ONLY,
-            ])
-            .unwrap();
+            ],
+            42,
+            &mut transport,
+            &RetryConfig::default(),
+        )
+        .unwrap();
         // Common entities: u2, u4.
         assert_eq!(out.alignment.len(), 2);
         for i in 0..out.alignment.len() {
@@ -172,18 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn two_party_multi_matches_pairwise_psi() {
-        let a = party("a", &["x", "y", "z"], "fa");
-        let b = party("b", &["z", "x"], "fb");
-        let ids_a = a.ids().unwrap();
-        let ids_b = b.ids().unwrap();
-        let multi = multi_align(&[&ids_a, &ids_b], 9);
-        let pair = crate::psi::align(&ids_a, &ids_b, 9);
-        assert_eq!(multi.rows[0], pair.rows_a);
-        assert_eq!(multi.rows[1], pair.rows_b);
-    }
-
-    #[test]
     fn disjoint_party_empties_intersection() {
         let a = party("a", &["u1"], "fa");
         let b = party("b", &["u2"], "fb");
@@ -198,10 +132,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one policy per party")]
     fn policy_count_must_match() {
         let a = party("a", &["u1"], "fa");
-        let session = MultiPartySession::new(vec![a], 0);
-        let _ = session.run_setup(&[]);
+        let mut transport = PerfectTransport::new(1);
+        let err = run_setup_protocol(&[a], &[], 0, &mut transport, &RetryConfig::default());
+        assert_eq!(
+            err,
+            Err(SetupError::Data(RelationError::ArityMismatch {
+                expected: 1,
+                got: 0
+            }))
+        );
+    }
+
+    #[test]
+    fn transport_count_must_match() {
+        let parties = [party("a", &["u1"], "fa"), party("b", &["u1"], "fb")];
+        let mut transport = PerfectTransport::new(3);
+        let err = run_setup_protocol(
+            &parties,
+            &[SharePolicy::FULL, SharePolicy::FULL],
+            0,
+            &mut transport,
+            &RetryConfig::default(),
+        );
+        assert_eq!(
+            err,
+            Err(SetupError::Data(RelationError::ArityMismatch {
+                expected: 2,
+                got: 3
+            }))
+        );
     }
 }

@@ -3,8 +3,8 @@
 //! over a [`Transport`].
 //!
 //! This is the "preliminary stage of model training" whose privacy the
-//! paper analyses: after [`VflSession::run_setup`] both parties hold the
-//! other's (redacted) metadata package and an aligned view of the common
+//! paper analyses: after [`run_setup_protocol`] every party holds the
+//! others' (redacted) metadata packages and an aligned view of the common
 //! population — precisely the state in which the adversarial synthesis of
 //! §II-B becomes possible.
 //!
@@ -30,27 +30,12 @@
 
 use crate::multiparty::{MultiAlignment, MultiSetupOutcome};
 use crate::party::Party;
-use crate::psi::{intersect_all, IdDigest, PsiAlignment};
-use crate::transport::{Envelope, MsgId, PartyId, Payload, PerfectTransport, Transport};
+use crate::psi::{intersect_all, IdDigest};
+use crate::transport::{Envelope, MsgId, PartyId, Payload, Transport};
 use mp_metadata::{MetadataPackage, SharePolicy};
 use mp_observe::{Counter, NoopRecorder, Recorder};
-use mp_relation::{Relation, RelationError, Result};
+use mp_relation::RelationError;
 use std::collections::HashSet;
-
-/// The setup outcome for one direction of the exchange.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SetupOutcome {
-    /// Alignment of both parties' rows over the common population.
-    pub alignment: PsiAlignment,
-    /// Party A's aligned rows (feature columns only, A's coordinates).
-    pub aligned_a: Relation,
-    /// Party B's aligned rows.
-    pub aligned_b: Relation,
-    /// The metadata A disclosed to B.
-    pub metadata_from_a: MetadataPackage,
-    /// The metadata B disclosed to A.
-    pub metadata_from_b: MetadataPackage,
-}
 
 /// How the protocol fails when the transport misbehaves beyond what
 /// retries can absorb. Setup never returns a partial outcome: it is
@@ -219,7 +204,9 @@ impl PartyMachine {
 /// `parties[p]` discloses under `policies[p]`. The returned outcome is
 /// assembled from *received* messages (each party's package as stored by
 /// a peer, the alignment from party 0's received digest view), so the
-/// result genuinely flowed through the transport.
+/// result genuinely flowed through the transport. A `policies` list or a
+/// transport that does not count exactly one entry per party is a typed
+/// [`RelationError::ArityMismatch`] data error.
 pub fn run_setup_protocol(
     parties: &[Party],
     policies: &[SharePolicy],
@@ -470,13 +457,16 @@ pub fn run_setup_protocol_observed(
     retry: &RetryConfig,
     recorder: &dyn Recorder,
 ) -> std::result::Result<MultiSetupOutcome, SetupError> {
-    assert_eq!(policies.len(), parties.len(), "one policy per party");
-    assert_eq!(
-        transport.n_parties(),
-        parties.len(),
-        "transport must connect every party"
-    );
     let n = parties.len();
+    // One policy per party, and a transport that connects every party.
+    for got in [policies.len(), transport.n_parties()] {
+        if got != n {
+            return Err(SetupError::Data(RelationError::ArityMismatch {
+                expected: n,
+                got,
+            }));
+        }
+    }
 
     // Local, failure-free preparation: digests and redacted packages.
     let mut engines: Vec<PartyEngine> = Vec::with_capacity(n);
@@ -590,91 +580,14 @@ fn assemble_outcome(
     })
 }
 
-/// A two-party session.
-#[derive(Debug, Clone)]
-pub struct VflSession {
-    /// Party A (by convention the active/label party).
-    pub party_a: Party,
-    /// Party B (passive).
-    pub party_b: Party,
-    /// PSI salt both parties agreed on out of band.
-    pub salt: u64,
-}
-
-impl VflSession {
-    /// Creates a session.
-    pub fn new(party_a: Party, party_b: Party, salt: u64) -> Self {
-        Self {
-            party_a,
-            party_b,
-            salt,
-        }
-    }
-
-    /// Runs PSI and the metadata exchange over a fault-free transport.
-    /// `policy_a` governs what A disclosed to B and vice versa.
-    pub fn run_setup(
-        &self,
-        policy_a: &SharePolicy,
-        policy_b: &SharePolicy,
-    ) -> Result<SetupOutcome> {
-        let mut transport = PerfectTransport::new(2);
-        self.run_setup_over(policy_a, policy_b, &mut transport, &RetryConfig::default())
-            .map_err(|e| match e {
-                SetupError::Data(inner) => inner,
-                other => RelationError::Io(other.to_string()),
-            })
-    }
-
-    /// Runs the setup protocol over an arbitrary [`Transport`] — the
-    /// entry point the fault simulator uses. Fails closed with a typed
-    /// [`SetupError`] when the transport defeats the retry budget.
-    pub fn run_setup_over(
-        &self,
-        policy_a: &SharePolicy,
-        policy_b: &SharePolicy,
-        transport: &mut dyn Transport,
-        retry: &RetryConfig,
-    ) -> std::result::Result<SetupOutcome, SetupError> {
-        let parties = [self.party_a.clone(), self.party_b.clone()];
-        let policies = [*policy_a, *policy_b];
-        let multi = run_setup_protocol(&parties, &policies, self.salt, transport, retry)?;
-        Ok(two_party_outcome(multi))
-    }
-}
-
-/// Converts a two-party [`MultiSetupOutcome`] into the pairwise shape.
-fn two_party_outcome(multi: MultiSetupOutcome) -> SetupOutcome {
-    let ([metadata_from_a, metadata_from_b], [aligned_a, aligned_b], [rows_a, rows_b]) = (
-        pair(multi.metadata),
-        pair(multi.aligned),
-        pair(multi.alignment.rows),
-    );
-    SetupOutcome {
-        alignment: PsiAlignment { rows_a, rows_b },
-        aligned_a,
-        aligned_b,
-        metadata_from_a,
-        metadata_from_b,
-    }
-}
-
-/// Fixes a per-party vector to the two-party shape.
-fn pair<T>(v: Vec<T>) -> [T; 2] {
-    match <[T; 2]>::try_from(v) {
-        Ok(both) => both,
-        // lint: allow(no-panic) reason="run_setup_protocol returns exactly one entry per party and VflSession always passes two parties"
-        Err(v) => unreachable!("two-party session produced {} entries", v.len()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::PerfectTransport;
     use mp_metadata::Fd;
-    use mp_relation::{Attribute, Schema, Value};
+    use mp_relation::{Attribute, Relation, Schema, Value};
 
-    fn parties() -> (Party, Party) {
+    fn parties() -> [Party; 2] {
         let schema_a = Schema::new(vec![
             Attribute::categorical("id"),
             Attribute::continuous("income"),
@@ -704,56 +617,59 @@ mod tests {
             ],
         )
         .unwrap();
-        (
+        [
             Party::new("bank", rel_a, 0, vec![]).unwrap(),
             Party::new("shop", rel_b, 0, vec![Fd::new(1usize, 2).into()]).unwrap(),
-        )
+        ]
     }
+
+    /// Fault-free setup of `parties` under `policies`.
+    fn setup(parties: &[Party], policies: &[SharePolicy], salt: u64) -> MultiSetupOutcome {
+        let mut transport = PerfectTransport::new(parties.len());
+        run_setup_protocol(
+            parties,
+            policies,
+            salt,
+            &mut transport,
+            &RetryConfig::default(),
+        )
+        .unwrap()
+    }
+
+    const FULL: [SharePolicy; 2] = [SharePolicy::FULL, SharePolicy::FULL];
 
     #[test]
     fn setup_aligns_and_exchanges() {
-        let (a, b) = parties();
-        let session = VflSession::new(a, b, 99);
-        let out = session
-            .run_setup(&SharePolicy::FULL, &SharePolicy::FULL)
-            .unwrap();
+        let out = setup(&parties(), &FULL, 99);
         assert_eq!(out.alignment.len(), 2); // u1, u3
-        assert_eq!(out.aligned_a.n_rows(), 2);
-        assert_eq!(out.aligned_b.n_rows(), 2);
+        let (a, b) = (&out.aligned[0], &out.aligned[1]);
+        assert_eq!(a.n_rows(), 2);
+        assert_eq!(b.n_rows(), 2);
         // Feature-only projections: no id columns.
-        assert_eq!(out.aligned_a.arity(), 1);
-        assert_eq!(out.aligned_b.arity(), 2);
+        assert_eq!(a.arity(), 1);
+        assert_eq!(b.arity(), 2);
         // Metadata flows both ways; B's FD survives re-indexing.
-        assert_eq!(out.metadata_from_a.party, "bank");
-        assert_eq!(out.metadata_from_b.dependencies.len(), 1);
+        assert_eq!(out.metadata[0].party, "bank");
+        assert_eq!(out.metadata[1].dependencies.len(), 1);
     }
 
     #[test]
     fn aligned_rows_refer_to_same_entity() {
-        let (a, b) = parties();
-        let ids_a = a.ids().unwrap();
-        let ids_b = b.ids().unwrap();
-        let session = VflSession::new(a, b, 5);
-        let out = session
-            .run_setup(&SharePolicy::FULL, &SharePolicy::FULL)
-            .unwrap();
-        for i in 0..out.alignment.len() {
-            assert_eq!(
-                ids_a[out.alignment.rows_a[i]],
-                ids_b[out.alignment.rows_b[i]]
-            );
+        let parties = parties();
+        let ids_a = parties[0].ids().unwrap();
+        let ids_b = parties[1].ids().unwrap();
+        let out = setup(&parties, &FULL, 5);
+        let rows = &out.alignment.rows;
+        for (&ra, &rb) in rows[0].iter().zip(&rows[1]) {
+            assert_eq!(ids_a[ra], ids_b[rb]);
         }
     }
 
     #[test]
     fn asymmetric_policies() {
-        let (a, b) = parties();
-        let session = VflSession::new(a, b, 1);
-        let out = session
-            .run_setup(&SharePolicy::NAMES_ONLY, &SharePolicy::FULL)
-            .unwrap();
-        assert!(!out.metadata_from_a.shares_domains());
-        assert!(out.metadata_from_b.shares_domains());
+        let out = setup(&parties(), &[SharePolicy::NAMES_ONLY, SharePolicy::FULL], 1);
+        assert!(!out.metadata[0].shares_domains());
+        assert!(out.metadata[1].shares_domains());
     }
 
     #[test]
@@ -761,45 +677,37 @@ mod tests {
         let schema = Schema::new(vec![Attribute::categorical("id")]).unwrap();
         let ra = Relation::from_rows(schema.clone(), vec![vec![Value::Text("a".into())]]).unwrap();
         let rb = Relation::from_rows(schema, vec![vec![Value::Text("b".into())]]).unwrap();
-        let session = VflSession::new(
+        let parties = [
             Party::new("a", ra, 0, vec![]).unwrap(),
             Party::new("b", rb, 0, vec![]).unwrap(),
-            0,
-        );
-        let out = session
-            .run_setup(&SharePolicy::FULL, &SharePolicy::FULL)
-            .unwrap();
+        ];
+        let out = setup(&parties, &FULL, 0);
         assert!(out.alignment.is_empty());
-        assert_eq!(out.aligned_a.n_rows(), 0);
+        assert_eq!(out.aligned[0].n_rows(), 0);
     }
 
     #[test]
     fn setup_over_transport_matches_direct_psi() {
         // The message-driven engine reproduces the pure-function PSI.
-        let (a, b) = parties();
-        let ids_a = a.ids().unwrap();
-        let ids_b = b.ids().unwrap();
-        let direct = crate::psi::align(&ids_a, &ids_b, 99);
-        let session = VflSession::new(a, b, 99);
-        let out = session
-            .run_setup(&SharePolicy::FULL, &SharePolicy::FULL)
-            .unwrap();
+        let parties = parties();
+        let ids_a = parties[0].ids().unwrap();
+        let ids_b = parties[1].ids().unwrap();
+        let direct = crate::multi_align(&[&ids_a, &ids_b], 99);
+        let out = setup(&parties, &FULL, 99);
         assert_eq!(out.alignment, direct);
     }
 
     #[test]
     fn trace_contains_both_phases() {
-        let (a, b) = parties();
-        let session = VflSession::new(a, b, 7);
         let mut transport = PerfectTransport::new(2);
-        session
-            .run_setup_over(
-                &SharePolicy::FULL,
-                &SharePolicy::FULL,
-                &mut transport,
-                &RetryConfig::default(),
-            )
-            .unwrap();
+        run_setup_protocol(
+            &parties(),
+            &FULL,
+            7,
+            &mut transport,
+            &RetryConfig::default(),
+        )
+        .unwrap();
         let kinds: HashSet<&str> = transport
             .trace()
             .iter()

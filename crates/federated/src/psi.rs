@@ -45,39 +45,15 @@ pub fn submit(ids: &[Value], salt: u64) -> Vec<IdDigest> {
     ids.iter().map(|v| digest(v, salt)).collect()
 }
 
-/// Result of the intersection: for each party, the rows (in that party's
-/// local indexing) of the common entities, listed in the same canonical
-/// order — index `i` of one party's list refers to the same entity as
-/// index `i` of the other's.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PsiAlignment {
-    /// Row indices into party A's relation.
-    pub rows_a: Vec<usize>,
-    /// Row indices into party B's relation.
-    pub rows_b: Vec<usize>,
-}
-
-impl PsiAlignment {
-    /// Number of common entities.
-    pub fn len(&self) -> usize {
-        self.rows_a.len()
-    }
-
-    /// `true` if the intersection is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows_a.is_empty()
-    }
-}
-
 /// K-way intersection of digest submissions: for each party, the rows (in
 /// that party's local indexing) of the entities present in *every*
 /// submission, listed in canonical (ascending digest) order. Duplicate
 /// digests within one party (duplicate ids, or — astronomically unlikely —
 /// hash collisions) keep their first occurrence only, mirroring PSI's set
-/// semantics. This is the single intersection kernel behind both
-/// [`intersect`] and [`crate::multi_align`], and the computation every
-/// party runs locally once the protocol has delivered all digest lists
-/// (see [`crate::transport`]).
+/// semantics. This is the intersection kernel behind
+/// [`crate::multi_align`], and the computation every party runs locally
+/// once the protocol has delivered all digest lists (see
+/// [`crate::transport`]).
 pub fn intersect_all(submissions: &[&[IdDigest]]) -> Vec<Vec<usize>> {
     if submissions.is_empty() {
         return Vec::new();
@@ -105,44 +81,36 @@ pub fn intersect_all(submissions: &[&[IdDigest]]) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Intersects two digest submissions via [`intersect_all`]; see there for
-/// the dedup and canonical-order semantics.
-pub fn intersect(a: &[IdDigest], b: &[IdDigest]) -> PsiAlignment {
-    match <[Vec<usize>; 2]>::try_from(intersect_all(&[a, b])) {
-        Ok([rows_a, rows_b]) => PsiAlignment { rows_a, rows_b },
-        // lint: allow(no-panic) reason="intersect_all returns exactly one row set per non-empty submission list, and two submissions are passed"
-        Err(rows) => unreachable!("got {} row sets for 2 submissions", rows.len()),
-    }
-}
-
-/// Convenience: full PSI between two id columns under a shared salt.
-pub fn align(ids_a: &[Value], ids_b: &[Value], salt: u64) -> PsiAlignment {
-    intersect(&submit(ids_a, salt), &submit(ids_b, salt))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multi_align;
 
     fn ids(names: &[&str]) -> Vec<Value> {
         names.iter().map(|&s| Value::Text(s.into())).collect()
+    }
+
+    /// Two-party PSI: A's and B's rows of the common entities.
+    fn pair_rows(a: &[Value], b: &[Value], salt: u64) -> (Vec<usize>, Vec<usize>) {
+        let mut rows = multi_align(&[a, b], salt).rows.into_iter();
+        (rows.next().unwrap(), rows.next().unwrap())
     }
 
     #[test]
     fn intersection_finds_common_entities() {
         let a = ids(&["u1", "u2", "u3", "u4"]);
         let b = ids(&["u3", "u9", "u1"]);
-        let al = align(&a, &b, 42);
-        assert_eq!(al.len(), 2);
+        let (rows_a, rows_b) = pair_rows(&a, &b, 42);
+        assert_eq!(rows_a.len(), 2);
         // Alignment is consistent: the same entity at the same position.
-        for i in 0..al.len() {
-            assert_eq!(a[al.rows_a[i]], b[al.rows_b[i]]);
+        for (&ra, &rb) in rows_a.iter().zip(&rows_b) {
+            assert_eq!(a[ra], b[rb]);
         }
     }
 
     #[test]
     fn disjoint_sets_yield_empty() {
-        let al = align(&ids(&["a"]), &ids(&["b"]), 0);
+        let al = multi_align(&[&ids(&["a"]), &ids(&["b"])], 0);
         assert!(al.is_empty());
         assert_eq!(al.len(), 0);
     }
@@ -154,29 +122,21 @@ mod tests {
         let d1 = submit(&a, 1);
         let d2 = submit(&a, 2);
         assert_ne!(d1, d2, "different salts must produce different digests");
-        let al1 = align(&a, &b, 1);
-        let al2 = align(&a, &b, 2);
         // The *set* of aligned pairs is salt-independent.
-        let pairs = |al: &PsiAlignment| {
-            let mut p: Vec<(usize, usize)> = al
-                .rows_a
-                .iter()
-                .copied()
-                .zip(al.rows_b.iter().copied())
-                .collect();
+        let pairs = |salt| {
+            let (rows_a, rows_b) = pair_rows(&a, &b, salt);
+            let mut p: Vec<(usize, usize)> = rows_a.into_iter().zip(rows_b).collect();
             p.sort();
             p
         };
-        assert_eq!(pairs(&al1), pairs(&al2));
+        assert_eq!(pairs(1), pairs(2));
     }
 
     #[test]
     fn duplicates_keep_first_occurrence() {
         let a = ids(&["u1", "u1", "u2"]);
         let b = ids(&["u1"]);
-        let al = align(&a, &b, 7);
-        assert_eq!(al.rows_a, vec![0]);
-        assert_eq!(al.rows_b, vec![0]);
+        assert_eq!(pair_rows(&a, &b, 7), (vec![0], vec![0]));
     }
 
     #[test]
@@ -184,10 +144,10 @@ mod tests {
         // Both parties, computing independently, get the same entity order.
         let a = ids(&["x", "y", "z"]);
         let b = ids(&["z", "x", "y"]);
-        let al = align(&a, &b, 3);
-        assert_eq!(al.len(), 3);
-        for i in 0..3 {
-            assert_eq!(a[al.rows_a[i]], b[al.rows_b[i]]);
+        let (rows_a, rows_b) = pair_rows(&a, &b, 3);
+        assert_eq!(rows_a.len(), 3);
+        for (&ra, &rb) in rows_a.iter().zip(&rows_b) {
+            assert_eq!(a[ra], b[rb]);
         }
     }
 
@@ -195,7 +155,6 @@ mod tests {
     fn numeric_ids_work() {
         let a: Vec<Value> = (0..10i64).map(Value::Int).collect();
         let b: Vec<Value> = (5..15i64).map(Value::Int).collect();
-        let al = align(&a, &b, 9);
-        assert_eq!(al.len(), 5);
+        assert_eq!(multi_align(&[&a, &b], 9).len(), 5);
     }
 }

@@ -4,18 +4,20 @@
 //! synthesis attack against the bank under different share policies.
 
 use crate::model::{labels_from_column, train, FeatureBlock, TrainConfig};
+use crate::multiparty::MultiSetupOutcome;
 use crate::party::Party;
-use crate::protocol::{RetryConfig, SetupError, SetupOutcome, VflSession};
-use crate::transport::Transport;
+use crate::protocol::{run_setup_protocol, RetryConfig, SetupError};
+use crate::transport::PerfectTransport;
 use mp_core::{run_attack, AttackResult, ExperimentConfig};
 use mp_metadata::SharePolicy;
-use mp_relation::{RelationError, Result};
+use mp_relation::RelationError;
 
 /// Outcome of the full scenario.
 #[derive(Debug, Clone)]
 pub struct ScenarioOutcome {
-    /// Setup artefacts (alignment + exchanged metadata).
-    pub setup: SetupOutcome,
+    /// Setup artefacts (alignment + exchanged metadata); the bank is
+    /// party 0, the e-commerce company party 1.
+    pub setup: MultiSetupOutcome,
     /// Accuracy of the federated model (both parties' features).
     pub federated_accuracy: f64,
     /// Accuracy of the bank training alone on the same rows.
@@ -31,52 +33,18 @@ pub struct ScenarioOutcome {
 ///
 /// `label_column` is the index of the 0/1 label within the bank's
 /// relation (e.g. `loan_approved`). The bank's policy governs what the
-/// adversary (the e-commerce party) gets to attack with.
+/// adversary (the e-commerce party) gets to attack with. A label column
+/// outside the bank's feature set is a typed
+/// [`RelationError::UnknownAttribute`] error, checked before setup runs.
 pub fn run_scenario(
     bank: Party,
     ecommerce: Party,
     label_column: usize,
     bank_policy: &SharePolicy,
     experiment: &ExperimentConfig,
-) -> Result<ScenarioOutcome> {
-    let session = VflSession::new(bank, ecommerce, 0xF1A7);
-    let setup = session.run_setup(bank_policy, &SharePolicy::FULL)?;
-    scenario_from_setup(&session, setup, label_column, experiment)
-}
-
-/// Runs the Figure 1 scenario with the setup phase driven over an
-/// arbitrary [`Transport`] — e.g. a [`crate::sim::SimTransport`] with a
-/// seeded fault plan. Either the whole scenario runs (setup survived the
-/// faults, and the outcome is bit-identical to the fault-free one) or it
-/// fails closed with the setup's typed [`SetupError`]; training never
-/// starts from a partial exchange.
-pub fn run_scenario_over(
-    bank: Party,
-    ecommerce: Party,
-    label_column: usize,
-    bank_policy: &SharePolicy,
-    experiment: &ExperimentConfig,
-    transport: &mut dyn Transport,
-    retry: &RetryConfig,
-) -> std::result::Result<ScenarioOutcome, SetupError> {
-    let session = VflSession::new(bank, ecommerce, 0xF1A7);
-    let setup = session.run_setup_over(bank_policy, &SharePolicy::FULL, transport, retry)?;
-    scenario_from_setup(&session, setup, label_column, experiment).map_err(SetupError::Data)
-}
-
-/// Utility + privacy measurement over a completed setup.
-fn scenario_from_setup(
-    session: &VflSession,
-    setup: crate::protocol::SetupOutcome,
-    label_column: usize,
-    experiment: &ExperimentConfig,
-) -> Result<ScenarioOutcome> {
-    // --- Utility: train loan approval on the aligned intersection. ------
-    // Label column in aligned (feature-projected) coordinates. The label is
-    // caller-supplied, so a column outside the bank's feature set is a
-    // typed error, not a panic.
-    let label_pos = session
-        .party_a
+) -> Result<ScenarioOutcome, SetupError> {
+    // Label column in aligned (feature-projected) coordinates.
+    let label_pos = bank
         .feature_columns()
         .iter()
         .position(|&c| c == label_column)
@@ -85,13 +53,29 @@ fn scenario_from_setup(
                 "label column {label_column} is not among the bank's feature columns"
             ))
         })?;
-    let bank_features: Vec<usize> = (0..setup.aligned_a.arity())
-        .filter(|&c| c != label_pos)
-        .collect();
-    let labels = labels_from_column(&setup.aligned_a, label_pos)?;
-    let bank_block = FeatureBlock::encode(&setup.aligned_a, &bank_features)?;
-    let ecom_features: Vec<usize> = (0..setup.aligned_b.arity()).collect();
-    let ecom_block = FeatureBlock::encode(&setup.aligned_b, &ecom_features)?;
+    let setup = run_setup_protocol(
+        &[bank, ecommerce],
+        &[*bank_policy, SharePolicy::FULL],
+        0xF1A7,
+        &mut PerfectTransport::new(2),
+        &RetryConfig::default(),
+    )?;
+    let ([bank_rows, ecom_rows], [bank_meta, _]) =
+        (setup.aligned.as_slice(), setup.metadata.as_slice())
+    else {
+        return Err(RelationError::ArityMismatch {
+            expected: 2,
+            got: setup.aligned.len(),
+        }
+        .into());
+    };
+
+    // --- Utility: train loan approval on the aligned intersection. ------
+    let bank_features: Vec<usize> = (0..bank_rows.arity()).filter(|&c| c != label_pos).collect();
+    let labels = labels_from_column(bank_rows, label_pos)?;
+    let bank_block = FeatureBlock::encode(bank_rows, &bank_features)?;
+    let ecom_features: Vec<usize> = (0..ecom_rows.arity()).collect();
+    let ecom_block = FeatureBlock::encode(ecom_rows, &ecom_features)?;
 
     let federated = train(
         vec![bank_block.clone(), ecom_block],
@@ -101,15 +85,15 @@ fn scenario_from_setup(
     let solo = train(vec![bank_block], &labels, &TrainConfig::default());
 
     // --- Privacy: the e-commerce party attacks the bank's slice. --------
-    let attack_with_deps = run_attack(&setup.aligned_a, &setup.metadata_from_a, true, experiment)?;
-    let attack_random = run_attack(&setup.aligned_a, &setup.metadata_from_a, false, experiment)?;
+    let attack_with_deps = run_attack(bank_rows, bank_meta, true, experiment)?;
+    let attack_random = run_attack(bank_rows, bank_meta, false, experiment)?;
 
     Ok(ScenarioOutcome {
-        setup,
         federated_accuracy: federated.accuracy(&labels),
         solo_accuracy: solo.accuracy(&labels),
         attack_with_deps,
         attack_random,
+        setup,
     })
 }
 
@@ -161,6 +145,22 @@ mod tests {
     }
 
     #[test]
+    fn label_outside_bank_features_is_typed() {
+        // Column 0 is the bank's id column; 99 is out of range.
+        for label in [0, 99] {
+            let (bank, ecom) = build_parties();
+            let err = run_scenario(bank, ecom, label, &SharePolicy::FULL, &fast_experiment());
+            assert!(
+                matches!(
+                    err,
+                    Err(SetupError::Data(RelationError::UnknownAttribute(_)))
+                ),
+                "label {label}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
     fn dependency_attack_no_worse_than_random_on_rhs() {
         // The paper's core claim, measured end to end in the scenario: the
         // mean exact-match leakage with dependencies stays within noise of
@@ -199,9 +199,7 @@ mod tests {
         // Without domains every generated cell is null: zero matches on
         // every non-null real column.
         for attr in &out.attack_with_deps.per_attr {
-            let real_nulls = out
-                .setup
-                .aligned_a
+            let real_nulls = out.setup.aligned[0]
                 .column(attr.attr)
                 .unwrap()
                 .iter()

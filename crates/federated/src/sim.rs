@@ -24,9 +24,9 @@
 //! Replaying a CI failure: every matrix entry is `(seed, profile)`;
 //! `mpriv simulate --seed N --faults <profile>` reruns it exactly.
 
-use crate::multiparty::{MultiPartySession, MultiSetupOutcome};
+use crate::multiparty::MultiSetupOutcome;
 use crate::party::Party;
-use crate::protocol::{RetryConfig, SetupError};
+use crate::protocol::{run_setup_protocol, run_setup_protocol_observed, RetryConfig, SetupError};
 use crate::transport::{
     Envelope, PartyId, Payload, PerfectTransport, TraceEvent, Transport, TransportMetrics,
 };
@@ -364,15 +364,16 @@ pub struct SimOutcome {
 }
 
 /// Runs one simulated setup under `plan` and returns the outcome plus its
-/// audit artefacts. Same session + policies + plan ⇒ same outcome, trace
-/// and summary, always.
+/// audit artefacts. Same parties + policies + salt + plan ⇒ same outcome,
+/// trace and summary, always.
 pub fn simulate_setup(
-    session: &MultiPartySession,
+    parties: &[Party],
     policies: &[SharePolicy],
+    salt: u64,
     plan: &FaultPlan,
     retry: &RetryConfig,
 ) -> SimOutcome {
-    simulate_setup_observed(session, policies, plan, retry, &NoopRecorder)
+    simulate_setup_observed(parties, policies, salt, plan, retry, &NoopRecorder)
 }
 
 /// [`simulate_setup`] with an explicit [`Recorder`]: the transport
@@ -382,14 +383,16 @@ pub fn simulate_setup(
 /// observation-only — the fault-decision RNG stream, the trace and the
 /// outcome are byte-identical to the unobserved run under the same plan.
 pub fn simulate_setup_observed(
-    session: &MultiPartySession,
+    parties: &[Party],
     policies: &[SharePolicy],
+    salt: u64,
     plan: &FaultPlan,
     retry: &RetryConfig,
     recorder: &dyn Recorder,
 ) -> SimOutcome {
-    let mut transport = SimTransport::observed(session.parties.len(), plan.clone(), recorder);
-    let result = session.run_setup_over_observed(policies, &mut transport, retry, recorder);
+    let mut transport = SimTransport::observed(parties.len(), plan.clone(), recorder);
+    let result =
+        run_setup_protocol_observed(parties, policies, salt, &mut transport, retry, recorder);
     let ticks = transport.now();
     let trace = std::mem::take(&mut transport.trace);
     SimOutcome {
@@ -468,25 +471,25 @@ pub struct InvariantReport {
     pub ticks: u64,
 }
 
-/// Runs `session` under `plan` *and* fault-free, then checks the three
-/// protocol invariants (see the module docs). Returns what the run did on
-/// success, or the first violation found.
+/// Runs the setup of `parties` under `plan` *and* fault-free, then checks
+/// the three protocol invariants (see the module docs). Returns what the
+/// run did on success, or the first violation found.
 pub fn check_invariants(
-    session: &MultiPartySession,
+    parties: &[Party],
     policies: &[SharePolicy],
+    salt: u64,
     plan: &FaultPlan,
     retry: &RetryConfig,
 ) -> Result<InvariantReport, InvariantViolation> {
     // Fault-free reference.
-    let mut reference_transport = PerfectTransport::new(session.parties.len());
-    let reference = session
-        .run_setup_over(policies, &mut reference_transport, retry)
+    let mut reference_transport = PerfectTransport::new(parties.len());
+    let reference = run_setup_protocol(parties, policies, salt, &mut reference_transport, retry)
         .map_err(InvariantViolation::ReferenceFailed)?;
 
-    let sim = simulate_setup(session, policies, plan, retry);
+    let sim = simulate_setup(parties, policies, salt, plan, retry);
     let scheduled: Vec<PartyId> = plan.crashes.iter().map(|c| c.party).collect();
     verify_run(
-        &session.parties,
+        parties,
         policies,
         &reference,
         &sim.result,
@@ -689,10 +692,12 @@ mod tests {
         Party::new(name, rel, 0, deps).unwrap()
     }
 
-    fn session() -> MultiPartySession {
+    const SALT: u64 = 0xBEEF;
+
+    fn parties() -> Vec<Party> {
         let a = party("bank", &["u1", "u2", "u3", "u4", "u5"], true);
         let b = party("shop", &["u5", "u3", "u9", "u1"], false);
-        MultiPartySession::new(vec![a, b], 0xBEEF)
+        vec![a, b]
     }
 
     fn policies() -> Vec<SharePolicy> {
@@ -701,10 +706,11 @@ mod tests {
 
     #[test]
     fn fault_free_plan_completes_identically() {
-        let s = session();
+        let s = parties();
         let report = check_invariants(
             &s,
             &policies(),
+            SALT,
             &FaultPlan::fault_free(1),
             &RetryConfig::default(),
         )
@@ -716,10 +722,10 @@ mod tests {
 
     #[test]
     fn same_seed_same_trace() {
-        let s = session();
+        let s = parties();
         let plan = FaultPlan::from_names("drop,dup,reorder", 42, 2).unwrap();
-        let a = simulate_setup(&s, &policies(), &plan, &RetryConfig::default());
-        let b = simulate_setup(&s, &policies(), &plan, &RetryConfig::default());
+        let a = simulate_setup(&s, &policies(), SALT, &plan, &RetryConfig::default());
+        let b = simulate_setup(&s, &policies(), SALT, &plan, &RetryConfig::default());
         assert_eq!(a.summary, b.summary);
         assert_eq!(a.ticks, b.ticks);
         assert_eq!(a.result.is_ok(), b.result.is_ok());
@@ -727,13 +733,15 @@ mod tests {
 
     #[test]
     fn different_seeds_usually_differ() {
-        let s = session();
+        let s = parties();
         let retry = RetryConfig::default();
         let pols = policies();
         let distinct: std::collections::HashSet<usize> = (0..8)
             .map(|seed| {
                 let plan = FaultPlan::from_names("drop,reorder", seed, 2).unwrap();
-                simulate_setup(&s, &pols, &plan, &retry).summary.dropped
+                simulate_setup(&s, &pols, SALT, &plan, &retry)
+                    .summary
+                    .dropped
             })
             .collect();
         assert!(distinct.len() > 1, "eight seeds produced identical traces");
@@ -741,13 +749,14 @@ mod tests {
 
     #[test]
     fn drops_force_retransmissions_but_identical_outcome() {
-        let s = session();
+        let s = parties();
         for seed in 0..16 {
             let plan = FaultPlan {
                 drop_rate: 0.3,
                 ..FaultPlan::fault_free(seed)
             };
-            let report = check_invariants(&s, &policies(), &plan, &RetryConfig::default()).unwrap();
+            let report =
+                check_invariants(&s, &policies(), SALT, &plan, &RetryConfig::default()).unwrap();
             if report.completed {
                 assert!(report.summary.dropped > 0 || report.summary.retransmissions == 0);
             }
@@ -756,12 +765,12 @@ mod tests {
 
     #[test]
     fn certain_drop_fails_closed() {
-        let s = session();
+        let s = parties();
         let plan = FaultPlan {
             drop_rate: 1.0,
             ..FaultPlan::fault_free(3)
         };
-        let sim = simulate_setup(&s, &policies(), &plan, &RetryConfig::default());
+        let sim = simulate_setup(&s, &policies(), SALT, &plan, &RetryConfig::default());
         assert!(matches!(
             sim.result,
             Err(SetupError::RetriesExhausted { .. })
@@ -770,13 +779,14 @@ mod tests {
 
     #[test]
     fn duplicates_are_idempotent() {
-        let s = session();
+        let s = parties();
         for seed in 0..8 {
             let plan = FaultPlan {
                 duplicate_rate: 1.0,
                 ..FaultPlan::fault_free(seed)
             };
-            let report = check_invariants(&s, &policies(), &plan, &RetryConfig::default()).unwrap();
+            let report =
+                check_invariants(&s, &policies(), SALT, &plan, &RetryConfig::default()).unwrap();
             assert!(report.completed, "pure duplication must complete");
             assert!(report.summary.duplicated > 0);
         }
@@ -784,7 +794,7 @@ mod tests {
 
     #[test]
     fn crash_aborts_with_typed_error() {
-        let s = session();
+        let s = parties();
         for party in 0..2 {
             let plan = FaultPlan {
                 crashes: vec![PartyCrash {
@@ -793,19 +803,19 @@ mod tests {
                 }],
                 ..FaultPlan::fault_free(9)
             };
-            let sim = simulate_setup(&s, &policies(), &plan, &RetryConfig::default());
+            let sim = simulate_setup(&s, &policies(), SALT, &plan, &RetryConfig::default());
             assert_eq!(sim.result, Err(SetupError::PartyCrashed { party }));
-            check_invariants(&s, &policies(), &plan, &RetryConfig::default()).unwrap();
+            check_invariants(&s, &policies(), SALT, &plan, &RetryConfig::default()).unwrap();
         }
     }
 
     #[test]
     fn redaction_holds_under_every_profile() {
-        let s = session();
+        let s = parties();
         for profile in FAULT_PROFILES {
             for seed in 0..4 {
                 let plan = FaultPlan::from_names(profile, seed, 2).unwrap();
-                check_invariants(&s, &policies(), &plan, &RetryConfig::default())
+                check_invariants(&s, &policies(), SALT, &plan, &RetryConfig::default())
                     .unwrap_or_else(|v| panic!("{profile}/{seed}: {v}"));
             }
         }
@@ -814,13 +824,13 @@ mod tests {
     #[test]
     fn observed_run_matches_unobserved_and_records_wire_metrics() {
         use mp_observe::Registry;
-        let s = session();
+        let s = parties();
         let plan = FaultPlan::from_names("drop,dup,reorder", 42, 2).unwrap();
         let retry = RetryConfig::default();
-        let plain = simulate_setup(&s, &policies(), &plan, &retry);
+        let plain = simulate_setup(&s, &policies(), SALT, &plan, &retry);
 
         let registry = Registry::new();
-        let observed = simulate_setup_observed(&s, &policies(), &plan, &retry, &registry);
+        let observed = simulate_setup_observed(&s, &policies(), SALT, &plan, &retry, &registry);
 
         // Observation must not perturb the run in any way.
         assert_eq!(plain.summary, observed.summary);
@@ -856,8 +866,8 @@ mod tests {
     #[test]
     fn tampered_trace_is_caught() {
         // Forge a trace in which the redacting party leaks a full package.
-        let s = session();
-        let full = s.parties[0].share_metadata(&SharePolicy::FULL).unwrap();
+        let s = parties();
+        let full = s[0].share_metadata(&SharePolicy::FULL).unwrap();
         let trace = vec![TraceEvent::Delivered {
             at: 1,
             env: Envelope {
@@ -867,7 +877,7 @@ mod tests {
                 payload: Payload::Metadata(Box::new(full)),
             },
         }];
-        let err = audit_trace_redaction(&s.parties, &policies(), &trace).unwrap_err();
+        let err = audit_trace_redaction(&s, &policies(), &trace).unwrap_err();
         assert!(matches!(
             err,
             InvariantViolation::RedactionBreached { party: 0, .. }

@@ -8,8 +8,8 @@
 
 use mp_federated::net::{AbortReason, FramedStream, SessionFrame, SocketStream};
 use mp_federated::{
-    outcome_matches, run_client_session, ClientConfig, MultiPartySession, MultiSetupOutcome, Party,
-    PartyOutcome, RetryConfig, ServeConfig, Server, SetupError,
+    outcome_matches, run_client_session, run_setup_protocol, ClientConfig, MultiSetupOutcome,
+    Party, PartyOutcome, PerfectTransport, RetryConfig, ServeConfig, Server, SetupError,
 };
 use mp_federated::{small_world_session, Envelope, MsgId, Payload};
 use mp_metadata::SharePolicy;
@@ -57,9 +57,14 @@ fn run_session(
 /// The oracle: the same parties/policies/salt through the fault-free
 /// in-process harness.
 fn reference(parties: &[Party], policies: &[SharePolicy], salt: u64) -> MultiSetupOutcome {
-    MultiPartySession::new(parties.to_vec(), salt)
-        .run_setup(policies)
-        .expect("fault-free reference setup completes")
+    run_setup_protocol(
+        parties,
+        policies,
+        salt,
+        &mut PerfectTransport::new(parties.len()),
+        &RetryConfig::default(),
+    )
+    .expect("fault-free reference setup completes")
 }
 
 fn fintech_parties(rows: usize, seed: u64) -> Vec<Party> {
@@ -114,10 +119,10 @@ fn socket_sessions_match_perfect_transport_across_seed_matrix() {
 
 #[test]
 fn three_party_socket_session_matches_reference() {
-    let (session, policies) = small_world_session(3).expect("3-party small world");
-    let want = session.run_setup(&policies).expect("reference completes");
+    let (parties, policies, salt) = small_world_session(3).expect("3-party small world");
+    let want = reference(&parties, &policies, salt);
     let server = start_server();
-    let got = run_session(server.addr(), 77, &session.parties, &policies, session.salt);
+    let got = run_session(server.addr(), 77, &parties, &policies, salt);
     for (p, res) in got.iter().enumerate() {
         let outcome = res.as_ref().expect("party completes");
         assert!(outcome_matches(outcome, p, &want), "party {p} diverged");

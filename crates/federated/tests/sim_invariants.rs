@@ -14,8 +14,8 @@
 //! `mpriv simulate --seed <N> --faults <profile>`.
 
 use mp_federated::{
-    check_invariants, simulate_setup, simulate_setup_observed, FaultPlan, MultiPartySession, Party,
-    PartyCrash, RetryConfig, SetupError, FAULT_PROFILES,
+    check_invariants, run_setup_protocol, simulate_setup, simulate_setup_observed, FaultPlan,
+    Party, PartyCrash, PerfectTransport, RetryConfig, SetupError, FAULT_PROFILES,
 };
 use mp_metadata::{Fd, SharePolicy};
 use mp_relation::{Attribute, Relation, Schema, Value};
@@ -46,25 +46,21 @@ fn party(name: &str, ids: std::ops::Range<i64>, step: i64, with_deps: bool) -> P
     Party::new(name, rel, 0, deps).unwrap()
 }
 
-fn two_party_session() -> MultiPartySession {
-    MultiPartySession::new(
-        vec![
-            party("bank", 0..40, 1, true),
-            party("shop", 10..60, 1, false),
-        ],
-        0x5E55,
-    )
+const SALT: u64 = 0x5E55;
+
+fn two_parties() -> Vec<Party> {
+    vec![
+        party("bank", 0..40, 1, true),
+        party("shop", 10..60, 1, false),
+    ]
 }
 
-fn three_party_session() -> MultiPartySession {
-    MultiPartySession::new(
-        vec![
-            party("bank", 0..40, 1, true),
-            party("shop", 10..60, 1, false),
-            party("telco", 0..50, 2, false),
-        ],
-        0x5E55,
-    )
+fn three_parties() -> Vec<Party> {
+    vec![
+        party("bank", 0..40, 1, true),
+        party("shop", 10..60, 1, false),
+        party("telco", 0..50, 2, false),
+    ]
 }
 
 fn policies(n: usize) -> Vec<SharePolicy> {
@@ -80,22 +76,23 @@ fn policies(n: usize) -> Vec<SharePolicy> {
 #[test]
 fn seed_matrix_holds_all_invariants() {
     let retry = RetryConfig::default();
-    for session in [two_party_session(), three_party_session()] {
-        let pols = policies(session.parties.len());
+    for parties in [two_parties(), three_parties()] {
+        let pols = policies(parties.len());
         for profile in FAULT_PROFILES {
             for seed in 0..8u64 {
-                let plan = FaultPlan::from_names(profile, seed, session.parties.len()).unwrap();
-                let report = check_invariants(&session, &pols, &plan, &retry).unwrap_or_else(|v| {
-                    panic!(
-                        "invariant violated ({} parties, profile {profile}, seed {seed}): {v}",
-                        session.parties.len()
-                    )
-                });
+                let plan = FaultPlan::from_names(profile, seed, parties.len()).unwrap();
+                let report =
+                    check_invariants(&parties, &pols, SALT, &plan, &retry).unwrap_or_else(|v| {
+                        panic!(
+                            "invariant violated ({} parties, profile {profile}, seed {seed}): {v}",
+                            parties.len()
+                        )
+                    });
                 if profile == "crash" {
                     assert!(
                         !report.completed,
                         "crash profile must abort ({} parties, seed {seed})",
-                        session.parties.len()
+                        parties.len()
                     );
                 }
             }
@@ -107,12 +104,12 @@ fn seed_matrix_holds_all_invariants() {
 /// invariant.
 #[test]
 fn combined_faults_hold_invariants() {
-    let session = two_party_session();
+    let parties = two_parties();
     let pols = policies(2);
     let retry = RetryConfig::default();
     for seed in 0..8u64 {
         let plan = FaultPlan::from_names("drop,dup,reorder,crash", seed, 2).unwrap();
-        check_invariants(&session, &pols, &plan, &retry)
+        check_invariants(&parties, &pols, SALT, &plan, &retry)
             .unwrap_or_else(|v| panic!("combined profile, seed {seed}: {v}"));
     }
 }
@@ -121,14 +118,15 @@ fn combined_faults_hold_invariants() {
 /// fault-free outcome — checked directly, not only through the harness.
 #[test]
 fn completed_faulty_runs_are_bit_identical() {
-    let session = three_party_session();
+    let parties = three_parties();
     let pols = policies(3);
     let retry = RetryConfig::default();
-    let reference = session.run_setup(&pols).unwrap();
+    let reference =
+        run_setup_protocol(&parties, &pols, SALT, &mut PerfectTransport::new(3), &retry).unwrap();
     let mut completed = 0;
     for seed in 0..12u64 {
         let plan = FaultPlan::from_names("drop,dup,reorder", seed, 3).unwrap();
-        let sim = simulate_setup(&session, &pols, &plan, &retry);
+        let sim = simulate_setup(&parties, &pols, SALT, &plan, &retry);
         if let Ok(outcome) = sim.result {
             completed += 1;
             assert_eq!(outcome.alignment, reference.alignment, "seed {seed}");
@@ -145,7 +143,7 @@ fn completed_faulty_runs_are_bit_identical() {
 /// Crashing each party in turn yields the matching typed abort.
 #[test]
 fn every_party_crash_aborts_with_its_id() {
-    let session = three_party_session();
+    let parties = three_parties();
     let pols = policies(3);
     let retry = RetryConfig::default();
     for victim in 0..3 {
@@ -156,7 +154,7 @@ fn every_party_crash_aborts_with_its_id() {
             }],
             ..FaultPlan::fault_free(77)
         };
-        let sim = simulate_setup(&session, &pols, &plan, &retry);
+        let sim = simulate_setup(&parties, &pols, SALT, &plan, &retry);
         assert_eq!(
             sim.result,
             Err(SetupError::PartyCrashed { party: victim }),
@@ -171,7 +169,7 @@ fn every_party_crash_aborts_with_its_id() {
 /// retransmission multiply the metadata messages.
 #[test]
 fn redaction_survives_message_multiplication() {
-    let session = two_party_session();
+    let parties = two_parties();
     let pols = vec![SharePolicy::NAMES_ONLY, SharePolicy::PAPER_RECOMMENDED];
     let retry = RetryConfig::default();
     for seed in 0..8u64 {
@@ -181,7 +179,7 @@ fn redaction_survives_message_multiplication() {
             max_delay: 4,
             ..FaultPlan::fault_free(seed)
         };
-        let report = check_invariants(&session, &pols, &plan, &retry)
+        let report = check_invariants(&parties, &pols, SALT, &plan, &retry)
             .unwrap_or_else(|v| panic!("seed {seed}: {v}"));
         if report.completed {
             assert!(report.summary.sent >= 8);
@@ -193,13 +191,13 @@ fn redaction_survives_message_multiplication() {
 /// run, tick for tick — the property every CI failure report relies on.
 #[test]
 fn seed_replay_is_exact() {
-    let session = two_party_session();
+    let parties = two_parties();
     let pols = policies(2);
     let retry = RetryConfig::default();
     for profile in FAULT_PROFILES {
         let plan = FaultPlan::from_names(profile, 1234, 2).unwrap();
-        let a = simulate_setup(&session, &pols, &plan, &retry);
-        let b = simulate_setup(&session, &pols, &plan, &retry);
+        let a = simulate_setup(&parties, &pols, SALT, &plan, &retry);
+        let b = simulate_setup(&parties, &pols, SALT, &plan, &retry);
         assert_eq!(a.summary, b.summary, "profile {profile}");
         assert_eq!(a.ticks, b.ticks, "profile {profile}");
         assert_eq!(a.trace.len(), b.trace.len(), "profile {profile}");
@@ -218,15 +216,15 @@ fn seed_replay_is_exact() {
 /// so a run's behaviour cannot depend on whether anyone is watching.
 #[test]
 fn metrics_observation_does_not_change_invariant_outcomes() {
-    let session = two_party_session();
+    let parties = two_parties();
     let pols = policies(2);
     let retry = RetryConfig::default();
     for profile in FAULT_PROFILES {
         for seed in 0..4u64 {
             let plan = FaultPlan::from_names(profile, seed, 2).unwrap();
-            let plain = simulate_setup(&session, &pols, &plan, &retry);
+            let plain = simulate_setup(&parties, &pols, SALT, &plan, &retry);
             let registry = mp_observe::Registry::new();
-            let observed = simulate_setup_observed(&session, &pols, &plan, &retry, &registry);
+            let observed = simulate_setup_observed(&parties, &pols, SALT, &plan, &retry, &registry);
             assert_eq!(plain.summary, observed.summary, "{profile} seed {seed}");
             assert_eq!(plain.ticks, observed.ticks, "{profile} seed {seed}");
             assert_eq!(
@@ -236,7 +234,7 @@ fn metrics_observation_does_not_change_invariant_outcomes() {
             );
             // The invariant harness (which replays unobserved) must agree
             // with what the observed run just did.
-            let verdict = check_invariants(&session, &pols, &plan, &retry)
+            let verdict = check_invariants(&parties, &pols, SALT, &plan, &retry)
                 .unwrap_or_else(|v| panic!("{profile} seed {seed}: {v}"));
             assert_eq!(
                 verdict.completed,

@@ -8,8 +8,8 @@
 use metadata_privacy::core::{run_attack, ExperimentConfig};
 use metadata_privacy::datasets::fintech_scenario;
 use metadata_privacy::federated::{
-    auc, holdout_split, labels_from_column, train, FeatureBlock, MultiPartySession, Party,
-    TrainConfig,
+    auc, holdout_split, labels_from_column, run_setup_protocol, train, FeatureBlock, Party,
+    PerfectTransport, RetryConfig, TrainConfig,
 };
 use metadata_privacy::metadata::SharePolicy;
 use metadata_privacy::relation::{Attribute, Relation, Schema, Value};
@@ -55,13 +55,20 @@ fn main() {
     .expect("ecom party");
     let telco = telco(n, 99);
 
-    let session = MultiPartySession::new(vec![bank, ecom, telco], 0x3AB7);
+    let parties = [bank, ecom, telco];
     let policies = [
         SharePolicy::PAPER_RECOMMENDED, // the bank follows the paper
         SharePolicy::FULL,              // the e-commerce side overshares
         SharePolicy::NAMES_AND_DOMAINS, // the telco does what most do
     ];
-    let setup = session.run_setup(&policies).expect("setup");
+    let setup = run_setup_protocol(
+        &parties,
+        &policies,
+        0x3AB7,
+        &mut PerfectTransport::new(parties.len()),
+        &RetryConfig::default(),
+    )
+    .expect("setup");
     println!(
         "3-way PSI intersection: {} customers (of {n})",
         setup.alignment.len()

@@ -56,7 +56,7 @@ pub mod prelude {
         tuple_matches, AttackResult, ExperimentConfig, TextTable,
     };
     pub use mp_discovery::{DependencyProfile, ProfileConfig};
-    pub use mp_federated::{run_scenario, Party, VflSession};
+    pub use mp_federated::{run_scenario, Party};
     pub use mp_metadata::{
         Afd, AttrSet, ConditionalFd, Dependency, DependencyGraph, DifferentialDep, Distribution,
         DomainGeneralization, Fd, FdSet, InclusionDep, MetadataPackage, MetricFd, NumericalDep,

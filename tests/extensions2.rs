@@ -8,8 +8,8 @@ use metadata_privacy::discovery::{
     discover_mfds, discover_sds, discover_variable_cfds, MfdConfig, SdConfig, VariableCfdConfig,
 };
 use metadata_privacy::federated::{
-    auc, bloom_candidate_rows, labels_from_column, train, BloomFilter, FeatureBlock,
-    MultiPartySession, Party, TrainConfig,
+    auc, bloom_candidate_rows, labels_from_column, multi_align, run_setup_protocol, train,
+    BloomFilter, FeatureBlock, Party, PerfectTransport, RetryConfig, TrainConfig,
 };
 use metadata_privacy::metadata::{MetricFd, SequentialDep};
 use metadata_privacy::prelude::*;
@@ -104,9 +104,9 @@ fn bloom_psi_candidates_feed_exact_verification() {
     let candidates = bloom_candidate_rows(&filter, &ecom_ids);
     // Exact verification on the candidate subset only.
     let candidate_ids: Vec<Value> = candidates.iter().map(|&r| ecom_ids[r].clone()).collect();
-    let refined = metadata_privacy::federated::align(&bank_ids, &candidate_ids, 0xB10);
+    let refined = multi_align(&[&bank_ids, &candidate_ids], 0xB10);
 
-    let direct = metadata_privacy::federated::align(&bank_ids, &ecom_ids, 0xB10);
+    let direct = multi_align(&[&bank_ids, &ecom_ids], 0xB10);
     assert_eq!(
         refined.len(),
         direct.len(),
@@ -127,10 +127,14 @@ fn multiparty_setup_trains_and_audits() {
         data.ecommerce.dependencies,
     )
     .unwrap();
-    let session = MultiPartySession::new(vec![bank, ecom], 5);
-    let setup = session
-        .run_setup(&[SharePolicy::FULL, SharePolicy::PAPER_RECOMMENDED])
-        .unwrap();
+    let setup = run_setup_protocol(
+        &[bank, ecom],
+        &[SharePolicy::FULL, SharePolicy::PAPER_RECOMMENDED],
+        5,
+        &mut PerfectTransport::new(2),
+        &RetryConfig::default(),
+    )
+    .unwrap();
     assert_eq!(setup.alignment.len(), 240);
 
     // Train on both slices.
