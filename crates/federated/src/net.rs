@@ -566,13 +566,17 @@ pub enum SocketStream {
 
 impl SocketStream {
     /// Connects to `addr`: `unix:<path>` for a Unix-domain socket,
-    /// anything else as a TCP `host:port`.
+    /// anything else as a TCP `host:port`, with `TCP_NODELAY` set — every
+    /// frame is one write, and Nagle's algorithm would hold a small frame
+    /// behind the peer's delayed ack.
     pub fn connect(addr: &str) -> std::io::Result<Self> {
         #[cfg(unix)]
         if let Some(path) = addr.strip_prefix("unix:") {
             return Ok(SocketStream::Unix(UnixStream::connect(path)?));
         }
-        Ok(SocketStream::Tcp(TcpStream::connect(addr)?))
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(SocketStream::Tcp(stream))
     }
 
     /// Sets the read timeout (the io tick of the socket transports).
@@ -591,6 +595,16 @@ impl SocketStream {
             SocketStream::Tcp(s) => s.set_write_timeout(dur),
             #[cfg(unix)]
             SocketStream::Unix(s) => s.set_write_timeout(dur),
+        }
+    }
+
+    /// Switches between blocking reads (bounded by the read timeout) and
+    /// non-blocking ones.
+    fn set_nonblocking(&self, nonblocking: bool) -> std::io::Result<()> {
+        match self {
+            SocketStream::Tcp(s) => s.set_nonblocking(nonblocking),
+            #[cfg(unix)]
+            SocketStream::Unix(s) => s.set_nonblocking(nonblocking),
         }
     }
 
@@ -692,12 +706,36 @@ impl FramedStream {
     /// One read attempt, bounded by the socket's read timeout.
     ///
     /// Decodes from the buffer first (bytes already read count), then
-    /// performs at most one socket read. A timeout is a [`ReadStep::Tick`]
-    /// — the caller's logical clock; a decode failure is a [`FrameError`].
+    /// performs at most one socket read, which returns as soon as bytes
+    /// arrive. A timeout is a [`ReadStep::Tick`] — the caller's logical
+    /// clock; a decode failure is a [`FrameError`].
     pub fn read_step(&mut self) -> Result<ReadStep, FrameError> {
         if let Some(frame) = self.buffer.next_frame()? {
             return Ok(ReadStep::Frame(frame));
         }
+        self.read_socket()
+    }
+
+    /// Like [`FramedStream::read_step`], but the socket read takes only
+    /// bytes that have already arrived: [`ReadStep::Tick`] here means no
+    /// complete frame is waiting, and the call never blocks.
+    pub(crate) fn read_ready(&mut self) -> Result<ReadStep, FrameError> {
+        if let Some(frame) = self.buffer.next_frame()? {
+            return Ok(ReadStep::Frame(frame));
+        }
+        if self.stream.set_nonblocking(true).is_err() {
+            return Ok(ReadStep::Tick);
+        }
+        let step = self.read_socket();
+        if self.stream.set_nonblocking(false).is_err() {
+            // A socket stuck in non-blocking mode would turn every later
+            // timed read into a spin; treat it as lost.
+            return Ok(ReadStep::Eof);
+        }
+        step
+    }
+
+    fn read_socket(&mut self) -> Result<ReadStep, FrameError> {
         match self.stream.read(&mut self.chunk) {
             Ok(0) => Ok(ReadStep::Eof),
             Ok(n) => {
@@ -881,6 +919,31 @@ mod tests {
             decode_stream(&bytes),
             Err(FrameError::Envelope(WireError::BadMagic))
         ));
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn read_ready_takes_only_frames_that_have_arrived() {
+        let (a, b) = UnixStream::pair().unwrap();
+        let mut reader = FramedStream::new(SocketStream::Unix(a));
+        let mut writer = FramedStream::new(SocketStream::Unix(b));
+        // No read timeout is set: a blocking read here would never return.
+        assert!(matches!(reader.read_ready(), Ok(ReadStep::Tick)));
+        writer.write_frame(&SessionFrame::Complete).unwrap();
+        writer
+            .write_frame(&SessionFrame::Done { party: 1 })
+            .unwrap();
+        assert!(matches!(
+            reader.read_ready(),
+            Ok(ReadStep::Frame(SessionFrame::Complete))
+        ));
+        assert!(matches!(
+            reader.read_ready(),
+            Ok(ReadStep::Frame(SessionFrame::Done { party: 1 }))
+        ));
+        assert!(matches!(reader.read_ready(), Ok(ReadStep::Tick)));
+        drop(writer);
+        assert!(matches!(reader.read_ready(), Ok(ReadStep::Eof)));
     }
 
     #[test]

@@ -13,27 +13,40 @@
 //! the oracle the soak tests check against.
 //!
 //! ```text
-//! client party 0 ──frames──▶ ┌────────────────────────────┐
-//!                            │  per-connection thread      │
-//! client party 1 ──frames──▶ │  Hello → join session       │
-//!                            │  Envelope → route to peer's │
-//!      ...                   │    bounded queue            │
-//! client party k ──frames──▶ │  drain own queue → socket   │
-//!                            └────────────────────────────┘
+//! client party 0 ──frames──▶ ┌──────────────────────────────┐
+//!                            │ connection thread (reader)    │
+//! client party 1 ──frames──▶ │   Hello → join session        │
+//!                            │   Envelope → route to peer's  │
+//!      ...                   │     bounded queue             │
+//!                            │ writer thread, one per member │
+//! client party k ◀──frames── │   own queue → socket, as      │
+//!                            │     soon as a frame is pushed │
+//!                            └──────────────────────────────┘
 //! ```
+//!
+//! **Delivery.** Nothing polls: the writer wakes when a frame is pushed
+//! to its queue and writes it at once, and the reader routes each frame
+//! as it arrives, so a session's latency follows its work. Sockets carry
+//! `TCP_NODELAY`. After its terminal `Complete` or `Abort` a connection
+//! lingers, reading and discarding until the client's EOF, so that a
+//! late client frame cannot make the close reset the connection and
+//! destroy the terminal frame unread.
 //!
 //! **Backpressure.** Every session member owns a bounded outbound queue
 //! ([`BoundedQueue`]); routing a frame into a full queue waits a bounded
 //! number of io ticks and then aborts *that session* with
 //! [`AbortReason::QueueOverflow`]. A stalled session can therefore never
-//! stall another: connection threads only ever block on their own
-//! socket (timeout-bounded) or on a peer queue (tick-bounded).
+//! stall another: a reader only ever blocks on its own socket
+//! (timeout-bounded) or on a peer queue (tick-bounded), a writer only on
+//! its own queue (tick-bounded) or its own socket's write timeout.
 //!
-//! **Time.** No wall clock reaches any decision in this module. Socket
-//! read timeouts define the *io tick*; handshake, idle, backpressure and
-//! drain budgets are all tick counts, derived from the protocol's
-//! [`RetryConfig`] by [`ServeConfig::from_retry`]. (The tick's wall
-//! duration is configuration, set by binaries; the library only counts.)
+//! **Time.** No wall clock reaches any decision in this module. The *io
+//! tick* is the longest silent wait — a socket read or queue wait that
+//! times out with nothing to do counts one tick; handshake, idle,
+//! backpressure, linger and drain budgets are all tick counts, derived
+//! from the protocol's [`RetryConfig`] by [`ServeConfig::from_retry`].
+//! (The tick's wall duration is configuration, set by binaries; the
+//! library only counts.)
 //!
 //! **Aborts and shutdown.** Any failure — disconnect, spoofed sender,
 //! queue overflow, idle timeout — aborts the one affected session: the
@@ -43,7 +56,7 @@
 //! with [`AbortReason::ServerShutdown`] and joins every thread.
 
 use crate::multiparty::{MultiAlignment, MultiSetupOutcome};
-use crate::net::{AbortReason, FramedStream, ReadStep, SessionFrame, SocketStream};
+use crate::net::{encode_frame, AbortReason, FramedStream, ReadStep, SessionFrame, SocketStream};
 use crate::party::Party;
 use crate::protocol::{EngineMetrics, PartyEngine, RetryConfig, SetupError};
 use crate::psi::{intersect_all, IdDigest};
@@ -52,6 +65,7 @@ use mp_metadata::{MetadataPackage, SharePolicy};
 use mp_observe::Recorder;
 use mp_relation::{Relation, RelationError};
 use std::collections::{BTreeMap, VecDeque};
+use std::io::Write as _;
 use std::net::TcpListener;
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
@@ -150,9 +164,14 @@ impl<T> BoundedQueue<T> {
         self.writable.notify_all();
     }
 
-    /// Pops without blocking.
-    pub fn pop(&self) -> Option<T> {
-        let mut g = lock(&self.inner);
+    /// Pops the oldest item, waiting up to one `tick` for one to be
+    /// pushed. `None` means the tick elapsed with the queue still empty.
+    pub fn pop_wait(&self, tick: Duration) -> Option<T> {
+        let g = lock(&self.inner);
+        let (mut g, _) = self
+            .readable
+            .wait_timeout_while(g, tick, |inner| inner.items.is_empty())
+            .unwrap_or_else(PoisonError::into_inner);
         let item = g.items.pop_front();
         if item.is_some() {
             self.writable.notify_one();
@@ -216,10 +235,17 @@ impl SocketListener {
         }
     }
 
-    /// Blocks until the next connection.
+    /// Blocks until the next connection. TCP connections get
+    /// `TCP_NODELAY`, like [`SocketStream::connect`]: frames are written
+    /// the moment they are queued, and Nagle's algorithm would hold a
+    /// small frame behind the peer's delayed ack.
     pub fn accept(&self) -> std::io::Result<SocketStream> {
         match self {
-            SocketListener::Tcp(l) => Ok(SocketStream::Tcp(l.accept()?.0)),
+            SocketListener::Tcp(l) => {
+                let (stream, _) = l.accept()?;
+                stream.set_nodelay(true)?;
+                Ok(SocketStream::Tcp(stream))
+            }
             #[cfg(unix)]
             SocketListener::Unix(l, _) => Ok(SocketStream::Unix(l.accept()?.0)),
         }
@@ -238,9 +264,12 @@ pub struct ServeConfig {
     pub max_parties: usize,
     /// Per-member outbound queue capacity (the backpressure bound).
     pub queue_cap: usize,
-    /// Wall duration of one io tick (socket read/condvar wait timeout).
+    /// Wall duration of one io tick: the longest *silent* wait (socket
+    /// read or queue wait timeout). Frames are relayed the moment they
+    /// arrive, so the tick bounds only waits in which nothing happens.
     pub io_tick: Duration,
-    /// Ticks a fresh connection gets to send its `Hello`.
+    /// Ticks a fresh connection gets to send its `Hello`; also the most
+    /// reads a closing connection lingers for the client's EOF.
     pub handshake_ticks: u64,
     /// Ticks an assembled session may sit with no frame in either
     /// direction before it is aborted.
@@ -253,7 +282,7 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// Maps the protocol's retry policy onto connection supervision:
-    /// the handshake and drain budgets are one full retransmission
+    /// the handshake, linger and drain budgets are one full retransmission
     /// ladder (if a peer could still be retried, the server still
     /// waits), the backpressure budget is one backoff cap, and the idle
     /// budget is the protocol's own liveness bound — the server never
@@ -564,13 +593,9 @@ impl Drop for Server {
     }
 }
 
-/// Tears the connection down with a typed abort, best-effort.
-fn refuse(framed: &mut FramedStream, reason: AbortReason) {
-    let _ = framed.write_frame(&SessionFrame::Abort(reason));
-    let _ = framed.socket().shutdown();
-}
-
-/// The per-connection relay loop: handshake, join, route until closed.
+/// The per-connection lifecycle: handshake and relay, then a lingering
+/// close. A connection refused before a writer could serve it gets its
+/// typed abort here; every other terminal frame is the writer's.
 fn handle_connection(stream: SocketStream, shared: Arc<ServerShared>) {
     let _ = stream.set_read_timeout(Some(shared.cfg.io_tick));
     // A stalled reader can block our writes for at most the push budget.
@@ -588,21 +613,35 @@ fn handle_connection(stream: SocketStream, shared: Arc<ServerShared>) {
         .connections
         .set(shared.metrics.connections.get().saturating_add(1));
 
-    let outcome = connection_loop(&mut framed, &shared);
-    if let Some(reason) = outcome {
-        refuse(&mut framed, reason);
-    } else {
-        let _ = framed.socket().shutdown();
+    if let Some(reason) = connection_loop(&mut framed, &shared) {
+        let _ = framed.write_frame(&SessionFrame::Abort(reason));
     }
+    linger_close(&mut framed, &shared);
     shared
         .metrics
         .connections
         .set(shared.metrics.connections.get().saturating_sub(1));
 }
 
-/// Runs the handshake and relay loop. Returns `Some(reason)` when the
-/// *connection itself* must be refused with an abort frame the session
-/// teardown did not already queue, `None` on a clean exit.
+/// Lingering close: reads and discards until the client's EOF, for at
+/// most `handshake_ticks` reads, then shuts the socket down. Closing a
+/// TCP socket with unread input sends a reset, and the reset can destroy
+/// our last `Complete` or `Abort` before the client has read it; a late
+/// re-ack from the client is enough to leave such input behind.
+fn linger_close(framed: &mut FramedStream, shared: &ServerShared) {
+    for _ in 0..shared.cfg.handshake_ticks {
+        match framed.read_step() {
+            Ok(ReadStep::Frame(_)) => {}
+            Ok(ReadStep::Tick) => shared.note_tick(),
+            Ok(ReadStep::Eof) | Err(_) => break,
+        }
+    }
+    let _ = framed.socket().shutdown();
+}
+
+/// Runs the handshake and the relay. Returns `Some(reason)` when the
+/// *connection itself* must be refused with an abort frame no writer
+/// sent, `None` otherwise.
 fn connection_loop(framed: &mut FramedStream, shared: &ServerShared) -> Option<AbortReason> {
     // -- Handshake: one Hello within the handshake budget. ------------
     let mut ticks = 0u64;
@@ -696,152 +735,7 @@ fn connection_loop(framed: &mut FramedStream, shared: &ServerShared) -> Option<A
         session
     };
 
-    // -- Relay loop. ----------------------------------------------------
-    let mut idle = 0u64;
-    let mut shutdown_ticks = 0u64;
-    let mut clean_exit = false;
-    loop {
-        let mut progressed = false;
-
-        // Drain own outbound queue to the socket.
-        while let Some(frame) = my_queue.pop() {
-            progressed = true;
-            let terminal = matches!(frame, SessionFrame::Complete | SessionFrame::Abort(_));
-            if framed.write_frame(&frame).is_err() {
-                shared.abort_session(&session, AbortReason::PeerDisconnected { party });
-                break;
-            }
-            if terminal {
-                clean_exit = true;
-                break;
-            }
-        }
-        if clean_exit {
-            break;
-        }
-
-        // One read step from our client.
-        match framed.read_step() {
-            Ok(ReadStep::Frame(frame)) => {
-                progressed = true;
-                shared.count_frame_in();
-                match frame {
-                    SessionFrame::Envelope(env) => {
-                        if env.from as u64 != party {
-                            shared.count_spoof_rejected();
-                            shared.abort_session(
-                                &session,
-                                AbortReason::Spoofed {
-                                    claimed: env.from as u64,
-                                },
-                            );
-                            continue;
-                        }
-                        let target = {
-                            let s = lock(&session);
-                            if s.phase != SessionPhase::Running {
-                                None
-                            } else {
-                                s.members
-                                    .get(env.to)
-                                    .and_then(Option::as_ref)
-                                    .map(Arc::clone)
-                            }
-                        };
-                        let Some(target) = target else {
-                            // Closed session or unknown recipient: the
-                            // teardown frames are already on our queue.
-                            continue;
-                        };
-                        let to = env.to as u64;
-                        let ok = target.push_bounded(
-                            SessionFrame::Envelope(env),
-                            shared.cfg.io_tick,
-                            shared.cfg.push_ticks,
-                        );
-                        shared.note_depth(target.depth());
-                        if ok {
-                            shared.count_frame_routed();
-                        } else {
-                            shared
-                                .abort_session(&session, AbortReason::QueueOverflow { party: to });
-                        }
-                    }
-                    SessionFrame::Done { party: done_party } => {
-                        if done_party != party {
-                            shared.abort_session(
-                                &session,
-                                AbortReason::Spoofed {
-                                    claimed: done_party,
-                                },
-                            );
-                            continue;
-                        }
-                        let mut s = lock(&session);
-                        if let Some(flag) = s.done.get_mut(party_ix) {
-                            *flag = true;
-                        }
-                        if s.phase == SessionPhase::Running && s.done.iter().all(|&d| d) {
-                            s.phase = SessionPhase::Closed;
-                            shared.count_session_completed();
-                            for q in s.members.iter().flatten() {
-                                // Completion may not skip queued acks, so
-                                // it takes the normal (bounded) path; on
-                                // overflow the abort jumps the queue.
-                                if !q.try_push(SessionFrame::Complete) {
-                                    q.jump_queue(SessionFrame::Complete);
-                                }
-                            }
-                        }
-                    }
-                    SessionFrame::Abort(reason) => {
-                        shared.abort_session(&session, reason);
-                    }
-                    SessionFrame::Hello { .. }
-                    | SessionFrame::Welcome { .. }
-                    | SessionFrame::Complete => {
-                        shared.abort_session(
-                            &session,
-                            AbortReason::Protocol(format!(
-                                "unexpected {} frame mid-session",
-                                frame.kind()
-                            )),
-                        );
-                    }
-                }
-            }
-            Ok(ReadStep::Tick) => {
-                shared.note_tick();
-            }
-            Ok(ReadStep::Eof) => {
-                // Disconnect before Complete/Abort reached us: if the
-                // session is still live this is a mid-session crash.
-                let live = lock(&session).phase != SessionPhase::Closed;
-                if live {
-                    shared.abort_session(&session, AbortReason::PeerDisconnected { party });
-                }
-                break;
-            }
-            Err(e) => {
-                shared.abort_session(&session, AbortReason::Protocol(e.to_string()));
-            }
-        }
-
-        if progressed {
-            idle = 0;
-        } else {
-            idle += 1;
-            if idle >= shared.cfg.idle_ticks {
-                shared.abort_session(&session, AbortReason::IdleTimeout);
-            }
-        }
-        if shared.shutdown.load(Ordering::SeqCst) {
-            shutdown_ticks += 1;
-            if shutdown_ticks > shared.cfg.drain_ticks {
-                shared.abort_session(&session, AbortReason::ServerShutdown);
-            }
-        }
-    }
+    let refused = relay(framed, shared, &session, &my_queue, party);
 
     // -- Leave: drop membership; forget fully-vacated sessions. --------
     {
@@ -856,7 +750,226 @@ fn connection_loop(framed: &mut FramedStream, shared: &ServerShared) -> Option<A
             lock(&shared.sessions).remove(&session_id);
         }
     }
-    None
+    refused
+}
+
+/// Relays one joined member until its connection is done: a writer
+/// thread sends each frame routed to `queue` the moment it is pushed,
+/// while this thread reads the client and routes what it sends. Returns
+/// the abort to refuse the connection with when no writer could start.
+fn relay(
+    framed: &mut FramedStream,
+    shared: &ServerShared,
+    session: &Mutex<SessionState>,
+    queue: &BoundedQueue<SessionFrame>,
+    party: u64,
+) -> Option<AbortReason> {
+    // Frames the writer has sent (the reader's idle check); set once the
+    // writer has sent its terminal frame or lost the socket; set once the
+    // reader is done.
+    let written = AtomicU64::new(0);
+    let closed = AtomicBool::new(false);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let writer = framed.socket().try_clone().and_then(|sink| {
+            std::thread::Builder::new().spawn_scoped(scope, || {
+                write_queue(sink, queue, shared, session, party, &written, &stop);
+                closed.store(true, Ordering::SeqCst);
+            })
+        });
+        let writer = match writer {
+            Ok(writer) => writer,
+            Err(e) => {
+                let reason = AbortReason::Protocol(format!("relay writer: {e}"));
+                shared.abort_session(session, reason.clone());
+                return Some(reason);
+            }
+        };
+        read_and_route(framed, shared, session, party, &written, &closed);
+        stop.store(true, Ordering::SeqCst);
+        // Joined by hand: `scope` re-raises the panic of a thread it has
+        // to join itself.
+        let _ = writer.join();
+        None
+    })
+}
+
+/// The writer half of a relayed connection. Sends each queued frame as
+/// soon as it is pushed, and stops after the terminal `Complete` or
+/// `Abort`, on a failed write, or once the reader is done and the queue
+/// stays empty for a tick. It blocks only on its own queue, one tick at a
+/// time, and on its own socket's write timeout.
+fn write_queue(
+    mut sink: SocketStream,
+    queue: &BoundedQueue<SessionFrame>,
+    shared: &ServerShared,
+    session: &Mutex<SessionState>,
+    party: u64,
+    written: &AtomicU64,
+    stop: &AtomicBool,
+) {
+    loop {
+        let Some(frame) = queue.pop_wait(shared.cfg.io_tick) else {
+            if stop.load(Ordering::SeqCst) {
+                return;
+            }
+            continue;
+        };
+        if sink.write_all(&encode_frame(&frame)).is_err() {
+            shared.abort_session(session, AbortReason::PeerDisconnected { party });
+            return;
+        }
+        written.fetch_add(1, Ordering::Relaxed);
+        if matches!(frame, SessionFrame::Complete | SessionFrame::Abort(_)) {
+            return;
+        }
+    }
+}
+
+/// The reader half of a relayed connection: reads the client and routes
+/// each frame until the writer is `closed`, the client hangs up, or its
+/// bytes stop decoding. Enforces the idle budget (no frame in either
+/// direction) and the shutdown drain budget.
+fn read_and_route(
+    framed: &mut FramedStream,
+    shared: &ServerShared,
+    session: &Mutex<SessionState>,
+    party: u64,
+    written: &AtomicU64,
+    closed: &AtomicBool,
+) {
+    let mut idle = 0u64;
+    let mut shutdown_ticks = 0u64;
+    let mut seen_written = 0u64;
+    while !closed.load(Ordering::SeqCst) {
+        let progressed = match framed.read_step() {
+            Ok(ReadStep::Frame(frame)) => {
+                shared.count_frame_in();
+                route(frame, shared, session, party);
+                true
+            }
+            Ok(ReadStep::Tick) => {
+                shared.note_tick();
+                let now = written.load(Ordering::Relaxed);
+                let wrote = now != seen_written;
+                seen_written = now;
+                wrote
+            }
+            Ok(ReadStep::Eof) => {
+                // Disconnect before Complete/Abort reached us: if the
+                // session is still live this is a mid-session crash.
+                let live = lock(session).phase != SessionPhase::Closed;
+                if live {
+                    shared.abort_session(session, AbortReason::PeerDisconnected { party });
+                }
+                return;
+            }
+            Err(e) => {
+                shared.abort_session(session, AbortReason::Protocol(e.to_string()));
+                return;
+            }
+        };
+        if progressed {
+            idle = 0;
+        } else {
+            idle += 1;
+            if idle >= shared.cfg.idle_ticks {
+                shared.abort_session(session, AbortReason::IdleTimeout);
+            }
+        }
+        if shared.shutdown.load(Ordering::SeqCst) {
+            shutdown_ticks += 1;
+            if shutdown_ticks > shared.cfg.drain_ticks {
+                shared.abort_session(session, AbortReason::ServerShutdown);
+            }
+        }
+    }
+}
+
+/// Handles one frame from a joined member: routes an envelope into its
+/// recipient's queue after the anti-spoofing check (the claimed sender
+/// must be the party this connection joined as), records `Done` and
+/// completes the session once every member is done, and aborts the
+/// session on anything else.
+fn route(frame: SessionFrame, shared: &ServerShared, session: &Mutex<SessionState>, party: u64) {
+    match frame {
+        SessionFrame::Envelope(env) => {
+            if env.from as u64 != party {
+                shared.count_spoof_rejected();
+                shared.abort_session(
+                    session,
+                    AbortReason::Spoofed {
+                        claimed: env.from as u64,
+                    },
+                );
+                return;
+            }
+            let target = {
+                let s = lock(session);
+                if s.phase != SessionPhase::Running {
+                    None
+                } else {
+                    s.members
+                        .get(env.to)
+                        .and_then(Option::as_ref)
+                        .map(Arc::clone)
+                }
+            };
+            let Some(target) = target else {
+                // Closed session or unknown recipient: the teardown
+                // frames are already on our queue.
+                return;
+            };
+            let to = env.to as u64;
+            let ok = target.push_bounded(
+                SessionFrame::Envelope(env),
+                shared.cfg.io_tick,
+                shared.cfg.push_ticks,
+            );
+            shared.note_depth(target.depth());
+            if ok {
+                shared.count_frame_routed();
+            } else {
+                shared.abort_session(session, AbortReason::QueueOverflow { party: to });
+            }
+        }
+        SessionFrame::Done { party: done_party } => {
+            if done_party != party {
+                shared.abort_session(
+                    session,
+                    AbortReason::Spoofed {
+                        claimed: done_party,
+                    },
+                );
+                return;
+            }
+            let mut s = lock(session);
+            if let Some(flag) = s.done.get_mut(party as usize) {
+                *flag = true;
+            }
+            if s.phase == SessionPhase::Running && s.done.iter().all(|&d| d) {
+                s.phase = SessionPhase::Closed;
+                shared.count_session_completed();
+                for q in s.members.iter().flatten() {
+                    // Completion may not skip queued acks, so it takes
+                    // the normal (bounded) path; on overflow it jumps the
+                    // queue.
+                    if !q.try_push(SessionFrame::Complete) {
+                        q.jump_queue(SessionFrame::Complete);
+                    }
+                }
+            }
+        }
+        SessionFrame::Abort(reason) => {
+            shared.abort_session(session, reason);
+        }
+        SessionFrame::Hello { .. } | SessionFrame::Welcome { .. } | SessionFrame::Complete => {
+            shared.abort_session(
+                session,
+                AbortReason::Protocol(format!("unexpected {} frame mid-session", frame.kind())),
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -872,8 +985,9 @@ pub struct ClientConfig {
     pub party: PartyId,
     /// Total parties in the session.
     pub n_parties: usize,
-    /// Wall duration of one io tick (the read timeout; the client's
-    /// logical clock advances once per tick).
+    /// Wall duration of one io tick: the longest *silent* wait for a
+    /// frame (the read timeout). A tick ends as soon as a frame arrives;
+    /// the client's logical clock advances once per tick.
     pub io_tick: Duration,
     /// Ticks to wait for the server's `Welcome`.
     pub handshake_ticks: u64,
@@ -912,9 +1026,10 @@ enum ClientState {
 
 /// A [`Transport`] carrying one party's envelopes over a socket.
 ///
-/// [`Transport::tick`] performs one timeout-bounded read pass — the read
-/// timeout *is* the logical tick, so retransmission timers count io
-/// ticks and no wall-clock value ever reaches a protocol decision.
+/// [`Transport::tick`] waits at most one io tick (the read timeout) for a
+/// frame, then takes whatever else has already arrived — so
+/// retransmission timers count io ticks and no wall-clock value ever
+/// reaches a protocol decision.
 pub struct SocketTransport {
     framed: FramedStream,
     party: PartyId,
@@ -940,11 +1055,13 @@ impl SocketTransport {
         }
     }
 
-    /// Drains every frame the socket has ready, then returns. Terminal
-    /// frames flip [`ClientState`]; envelopes land in the inbox.
+    /// Waits at most one io tick for the first frame, then takes only
+    /// the frames that have already arrived and returns. Terminal frames
+    /// flip [`ClientState`]; envelopes land in the inbox.
     fn pump_socket(&mut self) {
+        let mut step = self.framed.read_step();
         loop {
-            match self.framed.read_step() {
+            match step {
                 Ok(ReadStep::Frame(SessionFrame::Envelope(env))) => {
                     self.trace.push(TraceEvent::Delivered {
                         at: self.now,
@@ -982,6 +1099,7 @@ impl SocketTransport {
                     return;
                 }
             }
+            step = self.framed.read_ready();
         }
     }
 }
@@ -1228,7 +1346,7 @@ mod tests {
         assert!(!q.try_push(3), "cap enforced");
         assert_eq!(q.depth(), 2);
         assert_eq!(q.max_depth(), 2);
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop_wait(Duration::ZERO), Some(1));
         assert!(q.try_push(3));
         assert_eq!(q.max_depth(), 2, "high-water mark sticks");
         assert_eq!(q.cap(), 2);
@@ -1244,13 +1362,25 @@ mod tests {
     }
 
     #[test]
+    fn pop_wait_wakes_on_push() {
+        let q = Arc::new(BoundedQueue::new(2));
+        let pusher = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || assert!(q.try_push(7)))
+        };
+        // Far longer than any test run: only the push can end this wait.
+        assert_eq!(q.pop_wait(Duration::from_secs(600)), Some(7));
+        pusher.join().unwrap();
+    }
+
+    #[test]
     fn jump_queue_clears_backlog() {
         let q = BoundedQueue::new(2);
         assert!(q.try_push(1));
         assert!(q.try_push(2));
         q.jump_queue(9);
-        assert_eq!(q.pop(), Some(9));
-        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop_wait(Duration::ZERO), Some(9));
+        assert_eq!(q.pop_wait(Duration::from_millis(1)), None);
     }
 
     #[test]

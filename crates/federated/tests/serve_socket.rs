@@ -131,6 +131,31 @@ fn three_party_socket_session_matches_reference() {
     assert_eq!(report.sessions_completed, 1);
 }
 
+/// Back-to-back sessions on one server: the relay must deliver every
+/// `Complete` even when a client's late frame is still unread as the
+/// session closes (a close with unread input resets the connection).
+#[test]
+fn back_to_back_three_party_sessions_all_match_reference() {
+    let (parties, policies, salt) = small_world_session(3).expect("3-party small world");
+    let want = reference(&parties, &policies, salt);
+    let server = start_server();
+    for session in 1000..1200u64 {
+        let got = run_session(server.addr(), session, &parties, &policies, salt);
+        for (p, res) in got.iter().enumerate() {
+            let outcome = res
+                .as_ref()
+                .unwrap_or_else(|e| panic!("session {session} party {p}: {e}"));
+            assert!(
+                outcome_matches(outcome, p, &want),
+                "session {session} party {p} diverged"
+            );
+        }
+    }
+    let report = server.shutdown();
+    assert_eq!(report.sessions_completed, 200);
+    assert_eq!(report.sessions_aborted, 0);
+}
+
 #[test]
 fn concurrent_sessions_all_match_reference() {
     let server = start_server();
