@@ -6,8 +6,9 @@
 //! `X → Y` are excluded by default: they carry no conditional information
 //! beyond the FD, only the (privacy-relevant!) constants.
 
-use mp_metadata::{ConditionalFd, Fd};
-use mp_relation::{Pli, Relation, Result};
+use crate::engine::{DiscoveryContext, ParallelConfig};
+use mp_metadata::ConditionalFd;
+use mp_relation::{Relation, Result};
 
 /// Options for constant-CFD discovery.
 #[derive(Debug, Clone)]
@@ -29,42 +30,48 @@ impl Default for CfdConfig {
 
 /// Discovers constant CFDs between attribute pairs.
 pub fn discover_cfds(relation: &Relation, config: &CfdConfig) -> Result<Vec<ConditionalFd>> {
-    let m = relation.arity();
-    let mut out = Vec::new();
+    let ctx = DiscoveryContext::new(relation, ParallelConfig::default());
+    discover_cfds_with(&ctx, config)
+}
+
+/// [`discover_cfds`] against a shared [`DiscoveryContext`]: partitions come
+/// from its cache, each column's full signature is built once, and the FD
+/// exclusion and the constant-pattern test compare signature ids, never
+/// values. Determinants fan out on the context's thread budget.
+pub(crate) fn discover_cfds_with(
+    ctx: &DiscoveryContext<'_>,
+    config: &CfdConfig,
+) -> Result<Vec<ConditionalFd>> {
+    let relation = ctx.relation();
     if relation.n_rows() == 0 {
-        return Ok(out);
+        return Ok(Vec::new());
     }
-    for lhs in 0..m {
+    let plis = (0..relation.arity())
+        .map(|c| ctx.pli_of_single(c))
+        .collect::<Result<Vec<_>>>()?;
+    let sigs: Vec<Vec<usize>> = plis.iter().map(|p| p.full_signature()).collect();
+
+    ctx.par_flat_map(plis.iter().enumerate().collect(), |(lhs, lhs_pli)| {
         let lhs_col = relation.column(lhs)?;
-        let lhs_pli = Pli::from_typed(lhs_col);
-        for rhs in 0..m {
-            if rhs == lhs {
-                continue;
-            }
-            if config.exclude_fd_pairs && Fd::new(lhs, rhs).holds(relation)? {
+        let mut out = Vec::new();
+        for (rhs, sig) in sigs.iter().enumerate() {
+            if rhs == lhs || (config.exclude_fd_pairs && lhs_pli.satisfies_fd(sig)) {
                 continue;
             }
             let rhs_col = relation.column(rhs)?;
-            for cluster in lhs_pli.clusters() {
-                if cluster.len() < config.min_support {
-                    continue;
-                }
+            for cluster in lhs_pli.clusters().filter(|c| c.len() >= config.min_support) {
                 let Some((&row0, rest)) = cluster.split_first() else {
                     continue;
                 };
-                let y = rhs_col.value_ref(row0 as usize);
-                if rest.iter().all(|&r| rhs_col.value_ref(r as usize) == y) {
-                    out.push(ConditionalFd::constant(
-                        lhs,
-                        lhs_col.value(row0 as usize),
-                        rhs,
-                        y.to_value(),
-                    ));
+                let row0 = row0 as usize;
+                if rest.iter().all(|&r| sig[r as usize] == sig[row0]) {
+                    let (x, y) = (lhs_col.value(row0), rhs_col.value(row0));
+                    out.push(ConditionalFd::constant(lhs, x, rhs, y));
                 }
             }
         }
-    }
-    Ok(out)
+        Ok(out)
+    })
 }
 
 #[cfg(test)]

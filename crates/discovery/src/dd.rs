@@ -8,7 +8,7 @@
 
 use crate::engine::{DiscoveryContext, ParallelConfig};
 use mp_metadata::DifferentialDep;
-use mp_relation::{AttrKind, Relation, Result};
+use mp_relation::{AttrKind, Column, Relation, Result};
 
 /// Options for DD discovery.
 #[derive(Debug, Clone)]
@@ -55,18 +55,20 @@ pub fn tight_delta(relation: &Relation, lhs: usize, rhs: usize, eps: f64) -> Res
     Ok(Some(delta))
 }
 
-fn numeric_range(relation: &Relation, col: usize) -> Result<Option<f64>> {
-    let nums: Vec<f64> = relation
-        .column(col)?
-        .iter()
-        .filter_map(|v| v.as_f64())
-        .collect();
-    if nums.is_empty() {
-        return Ok(None);
-    }
-    let lo = nums.iter().copied().fold(f64::INFINITY, f64::min);
-    let hi = nums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    Ok(Some(hi - lo))
+/// `(min, max)` of `nums` in one pass, or `None` when it is empty.
+/// `f64::min`/`f64::max` skip NaNs, as the folds they replace did.
+pub(crate) fn min_max(nums: impl Iterator<Item = f64>) -> Option<(f64, f64)> {
+    nums.fold(None, |acc, v| {
+        let (lo, hi) = acc.unwrap_or((f64::INFINITY, f64::NEG_INFINITY));
+        Some((lo.min(v), hi.max(v)))
+    })
+}
+
+/// The spread `max − min` of a column's numeric cells (`Int` widened),
+/// or `None` when it has none. Every pass that scales a threshold by an
+/// attribute's range reads it here.
+pub(crate) fn numeric_range(column: &Column) -> Option<f64> {
+    min_max((0..column.len()).filter_map(|r| column.f64_at(r))).map(|(lo, hi)| hi - lo)
 }
 
 /// Discovers informative differential dependencies between continuous
@@ -89,36 +91,29 @@ pub fn discover_dds_with(
     // Ranges once per attribute, shared by both loop roles.
     let mut ranges: Vec<(usize, f64)> = Vec::new();
     for &c in &continuous {
-        if let Some(range) = numeric_range(relation, c)? {
+        if let Some(range) = numeric_range(relation.column(c)?) {
             if range > 0.0 {
                 ranges.push((c, range));
             }
         }
     }
 
-    let per_lhs: Vec<Result<Vec<DifferentialDep>>> =
-        ctx.par_map(ranges.clone(), |(lhs, range_x)| {
-            let eps = config.eps_fraction * range_x;
-            let mut out = Vec::new();
-            for &(rhs, range_y) in &ranges {
-                if lhs == rhs {
-                    continue;
-                }
-                let Some(delta) = tight_delta(relation, lhs, rhs, eps)? else {
-                    continue;
-                };
-                if delta <= config.delta_fraction * range_y {
-                    out.push(DifferentialDep::new(lhs, rhs, eps, delta));
-                }
+    ctx.par_flat_map(ranges.clone(), |(lhs, range_x)| {
+        let eps = config.eps_fraction * range_x;
+        let mut out = Vec::new();
+        for &(rhs, range_y) in &ranges {
+            if lhs == rhs {
+                continue;
             }
-            Ok(out)
-        });
-
-    let mut out = Vec::new();
-    for found in per_lhs {
-        out.extend(found?);
-    }
-    Ok(out)
+            let Some(delta) = tight_delta(relation, lhs, rhs, eps)? else {
+                continue;
+            };
+            if delta <= config.delta_fraction * range_y {
+                out.push(DifferentialDep::new(lhs, rhs, eps, delta));
+            }
+        }
+        Ok(out)
+    })
 }
 
 #[cfg(test)]

@@ -227,6 +227,22 @@ impl<'r> DiscoveryContext<'r> {
         par::par_map(items, self.parallel.threads, f)
     }
 
+    /// [`par_map`](Self::par_map) for a discovery pass: each item yields
+    /// its dependencies, which are concatenated in item order; the first
+    /// error in item order wins.
+    pub(crate) fn par_flat_map<T, U, F>(&self, items: Vec<T>, f: F) -> Result<Vec<U>>
+    where
+        T: Send,
+        U: Send,
+        F: Fn(T) -> Result<Vec<U>> + Sync,
+    {
+        let mut out = Vec::new();
+        for found in self.par_map(items, f) {
+            out.extend(found?);
+        }
+        Ok(out)
+    }
+
     /// The single-attribute partition `Π_{a}`, memoized.
     pub fn pli_of_single(&self, attr: usize) -> Result<Arc<Pli>> {
         let key = AttrSet::single(attr);

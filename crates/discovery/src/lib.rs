@@ -12,9 +12,14 @@
 //!   (§IV-B);
 //! * [`discover_dds`] — differential dependencies with tight deltas
 //!   (§IV-D);
-//! * [`discover_ofds`] — ordered functional dependencies (§IV-E);
+//! * [`discover_ofds`] — ordered functional dependencies (§IV-E), the
+//!   strict flag of the OD sweep;
+//! * [`discover_cfds`] — constant conditional FDs (paper ref \[7\]);
+//! * [`discover_mfds`] — metric FDs with tight δ bounds;
 //! * [`DependencyProfile`] — the one-call orchestrator producing the
 //!   dependency inventory a party would attach to its metadata package.
+//!   Its eight passes share one [`DiscoveryContext`]: typed columns,
+//!   cached stripped partitions and one thread budget.
 
 #![warn(missing_docs)]
 

@@ -8,6 +8,8 @@
 //!   with enough support, check whether the embedded FD `X → Y` holds on
 //!   the matching partition even though it fails globally.
 
+use crate::dd::{min_max, numeric_range};
+use crate::engine::{DiscoveryContext, ParallelConfig};
 use mp_metadata::{ConditionalFd, Fd, MetricFd};
 use mp_relation::{Pli, Relation, Result};
 
@@ -32,33 +34,39 @@ impl Default for MfdConfig {
 
 /// Discovers informative metric FDs between attribute pairs.
 pub fn discover_mfds(relation: &Relation, config: &MfdConfig) -> Result<Vec<MetricFd>> {
+    let ctx = DiscoveryContext::new(relation, ParallelConfig::default());
+    discover_mfds_with(&ctx, config)
+}
+
+/// [`discover_mfds`] against a shared [`DiscoveryContext`]: each dependent
+/// column is read once as `f64`s and its range judged once, determinant
+/// partitions come from the context's cache, and the tight δ is one pass
+/// per cluster. Dependents fan out on the context's thread budget, merged
+/// in dependent order.
+pub(crate) fn discover_mfds_with(
+    ctx: &DiscoveryContext<'_>,
+    config: &MfdConfig,
+) -> Result<Vec<MetricFd>> {
+    let relation = ctx.relation();
     let m = relation.arity();
-    let mut out = Vec::new();
-    if relation.n_rows() == 0 {
-        return Ok(out);
-    }
-    for rhs in 0..m {
-        let nums: Vec<f64> = relation
-            .column(rhs)?
-            .iter()
-            .filter_map(|v| v.as_f64())
-            .collect();
-        if nums.len() < 2 {
-            continue;
-        }
-        let lo = nums.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = nums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let range = hi - lo;
+    ctx.par_flat_map((0..m).collect(), |rhs| {
+        let col = relation.column(rhs)?;
+        // Relations reject columns mixing text and numbers, so a column
+        // with no numeric range is text (no metric exists) or constant.
+        let range = numeric_range(col).unwrap_or(0.0);
+        let mut out = Vec::new();
         if range <= 0.0 {
-            continue;
+            return Ok(out);
         }
-        for lhs in 0..m {
-            if lhs == rhs {
-                continue;
-            }
-            let Some(delta) = MetricFd::tight_delta(lhs, rhs, relation)? else {
-                continue;
-            };
+        let ys: Vec<Option<f64>> = (0..col.len()).map(|r| col.f64_at(r)).collect();
+        // A cluster's Y-spread; one numeric Y spreads 0, which raises no δ.
+        let spread = |cluster: &[u32]| min_max(cluster.iter().filter_map(|&r| ys[r as usize]));
+        for lhs in (0..m).filter(|&lhs| lhs != rhs) {
+            let delta = ctx
+                .pli_of_single(lhs)?
+                .clusters()
+                .filter_map(spread)
+                .fold(0.0f64, |delta, (lo, hi)| delta.max(hi - lo));
             if config.exclude_fds && delta == 0.0 {
                 continue;
             }
@@ -66,8 +74,8 @@ pub fn discover_mfds(relation: &Relation, config: &MfdConfig) -> Result<Vec<Metr
                 out.push(MetricFd::new(lhs, rhs, delta));
             }
         }
-    }
-    Ok(out)
+        Ok(out)
+    })
 }
 
 /// Options for variable-CFD discovery.
@@ -166,17 +174,7 @@ pub fn discover_sds(
     let m = relation.arity();
     let mut out = Vec::new();
     for rhs in 0..m {
-        let nums: Vec<f64> = relation
-            .column(rhs)?
-            .iter()
-            .filter_map(|v| v.as_f64())
-            .collect();
-        if nums.len() < 2 {
-            continue;
-        }
-        let lo = nums.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = nums.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-        let range = hi - lo;
+        let range = numeric_range(relation.column(rhs)?).unwrap_or(0.0);
         if range <= 0.0 {
             continue;
         }
@@ -190,8 +188,8 @@ pub fn discover_sds(
             if gaps.len() < config.min_pairs {
                 continue;
             }
-            let g_lo = gaps.iter().copied().fold(f64::INFINITY, f64::min);
-            let g_hi = gaps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let (g_lo, g_hi) =
+                min_max(gaps.iter().copied()).unwrap_or((f64::INFINITY, f64::NEG_INFINITY));
             if g_hi - g_lo <= config.width_fraction * range {
                 out.push(SequentialDep::new(lhs, rhs, g_lo, g_hi));
             }

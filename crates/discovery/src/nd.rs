@@ -64,7 +64,7 @@ pub fn discover_nds_with(
         .map(|c| Ok(ctx.pli_of_single(c)?.full_signature()))
         .collect::<Result<_>>()?;
 
-    let per_lhs: Vec<Result<Vec<NumericalDep>>> = ctx.par_map((0..m).collect(), |lhs| {
+    ctx.par_flat_map((0..m).collect(), |lhs| {
         let lhs_pli = ctx.pli_of_single(lhs)?;
         let mut out = Vec::new();
         for (rhs, &rhs_distinct) in distinct.iter().enumerate() {
@@ -85,13 +85,7 @@ pub fn discover_nds_with(
             }
         }
         Ok(out)
-    });
-
-    let mut out = Vec::new();
-    for found in per_lhs {
-        out.extend(found?);
-    }
-    Ok(out)
+    })
 }
 
 /// Tightest fanout bound from a stripped LHS partition and an RHS full

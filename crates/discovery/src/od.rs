@@ -48,143 +48,130 @@ pub fn discover_ods(relation: &Relation, config: &OdConfig) -> Result<Vec<OrderD
     discover_ods_with(&ctx, config)
 }
 
-/// [`discover_ods`] against a shared [`DiscoveryContext`]: the candidate
-/// set fans out over determinants on the context's thread budget (each
-/// determinant's column sort and RHS sweeps are independent), and results
-/// are merged in determinant order, so the output is identical to the
-/// sequential scan.
+/// [`discover_ods`] against a shared [`DiscoveryContext`]: each
+/// determinant is sorted once and every dependent swept along it for both
+/// directions. Determinants fan out on the context's thread budget and
+/// merge in order, so the output is identical to the sequential scan.
 pub fn discover_ods_with(ctx: &DiscoveryContext<'_>, config: &OdConfig) -> Result<Vec<OrderDep>> {
+    let want = Monotone {
+        asc: true,
+        desc: config.include_descending,
+        strict: false,
+    };
+    let mut out = Vec::new();
+    for (lhs, rhs, held) in order_sweep(ctx, config.exclude_constant, want)? {
+        if held.asc {
+            out.push(OrderDep::ascending(lhs, rhs));
+        }
+        if held.desc {
+            out.push(OrderDep::descending(lhs, rhs));
+        }
+    }
+    Ok(out)
+}
+
+/// How Y moves along X sorted ascending, nulls skipped. Every flag
+/// requires X-ties to be Y-ties.
+#[derive(Clone, Copy)]
+pub(crate) struct Monotone {
+    /// Y never decreases (the ascending OD).
+    pub(crate) asc: bool,
+    /// Y never increases (the descending OD).
+    pub(crate) desc: bool,
+    /// Y strictly increases wherever X does (the OFD).
+    pub(crate) strict: bool,
+}
+
+/// The one order sweep behind OD and OFD discovery: each determinant's
+/// non-null rows are sorted once, and every other column is swept along
+/// that order until none of the flags set in `want` is left. Returns the
+/// flags that held per ordered pair, determinant-major. `exclude_constant`
+/// skips pairs with a side constant on its non-null rows.
+pub(crate) fn order_sweep(
+    ctx: &DiscoveryContext<'_>,
+    exclude_constant: bool,
+    want: Monotone,
+) -> Result<Vec<(usize, usize, Monotone)>> {
     let relation = ctx.relation();
     let m = relation.arity();
-    let mut constant = vec![false; m];
-    for (c, flag) in constant.iter_mut().enumerate() {
-        *flag = non_null_constant(relation, c)?;
-    }
+    let constant = (0..m)
+        .map(|c| Ok(exclude_constant && non_null_constant(relation, c)?))
+        .collect::<Result<Vec<bool>>>()?;
 
-    let per_lhs: Vec<Result<Vec<OrderDep>>> = ctx.par_map((0..m).collect(), |lhs| {
-        let mut out = Vec::new();
-        if config.exclude_constant && constant[lhs] {
-            return Ok(out);
-        }
-        // Pre-sort the LHS once per determinant; reuse for all RHS checks.
+    ctx.par_flat_map((0..m).filter(|&c| !constant[c]).collect(), |lhs| {
         let xs = relation.column(lhs)?;
         let mut order: Vec<usize> = (0..relation.n_rows()).filter(|&r| !xs.is_null(r)).collect();
         order.sort_by(|&a, &b| xs.value_ref(a).cmp(&xs.value_ref(b)));
-
-        for (rhs, &rhs_constant) in constant.iter().enumerate() {
-            if rhs == lhs || (config.exclude_constant && rhs_constant) {
-                continue;
-            }
+        let mut out = Vec::new();
+        for rhs in (0..m).filter(|&rhs| rhs != lhs && !constant[rhs]) {
             let ys = relation.column(rhs)?;
-            let (mut asc, mut desc) = (true, config.include_descending);
+            let mut held = want;
             let mut prev: Option<(ValueRef<'_>, ValueRef<'_>)> = None;
-            for &r in &order {
-                if ys.is_null(r) {
-                    continue;
-                }
+            for &r in order.iter().filter(|&&r| !ys.is_null(r)) {
                 let (x, y) = (xs.value_ref(r), ys.value_ref(r));
                 if let Some((px, py)) = prev {
-                    if px == x {
-                        if py != y {
-                            asc = false;
-                            desc = false;
-                        }
-                    } else {
-                        if py > y {
-                            asc = false;
-                        }
-                        if py < y {
-                            desc = false;
-                        }
-                    }
-                    if !asc && !desc {
+                    let tie = px == x;
+                    held.asc &= if tie { py == y } else { py <= y };
+                    held.desc &= if tie { py == y } else { py >= y };
+                    held.strict &= if tie { py == y } else { py < y };
+                    if !(held.asc || held.desc || held.strict) {
                         break;
                     }
                 }
                 prev = Some((x, y));
             }
-            if asc {
-                out.push(OrderDep::ascending(lhs, rhs));
-            }
-            if desc {
-                out.push(OrderDep::descending(lhs, rhs));
-            }
+            out.push((lhs, rhs, held));
         }
         Ok(out)
-    });
-
-    let mut out = Vec::new();
-    for found in per_lhs {
-        out.extend(found?);
-    }
-    Ok(out)
+    })
 }
 
 /// The minimum number of tuples to delete so the OD holds — the `g3`
-/// analogue for order dependencies, computed as (non-null pairs) minus the
-/// longest subsequence that is order-compatible (non-decreasing Y along
-/// ascending X with ties consistent). Exposed for approximate-OD
-/// discovery.
+/// analogue for order dependencies, over tuples with no null. The kept
+/// tuples form the heaviest chain of `(x, y)` groups with strictly rising
+/// x, one y per x and Y monotone in the OD's direction. Read backwards, a
+/// descending chain has rising Y, so X is sorted ascending for an
+/// ascending OD and descending for a descending one, X-ties by falling Y;
+/// the chain is then the longest non-decreasing subsequence of Y, found
+/// in O(n log n) by patience sorting.
 pub fn od_violations(relation: &Relation, od: &OrderDep) -> Result<usize> {
-    let xs = relation.column(od.lhs)?;
-    let ys = relation.column(od.rhs)?;
-    // Collect non-null pairs sorted by X (stable, so equal X keeps row
-    // order; we then require Y non-decreasing overall, which subsumes the
-    // tie condition up to the deletion metric).
-    let mut pairs: Vec<(ValueRef<'_>, ValueRef<'_>)> = xs
+    let mut pairs = non_null_pairs(relation, od)?;
+    pairs.sort_unstable_by(|a, b| {
+        let x_order = match od.direction {
+            OrderDirection::Ascending => a.0.cmp(&b.0),
+            OrderDirection::Descending => b.0.cmp(&a.0),
+        };
+        x_order.then(b.1.cmp(&a.1))
+    });
+    // tails[k]: the smallest last Y of a non-decreasing run of length k + 1.
+    let mut tails: Vec<ValueRef<'_>> = Vec::new();
+    for &(_, y) in &pairs {
+        let pos = tails.partition_point(|&t| t <= y);
+        match tails.get_mut(pos) {
+            Some(t) => *t = y,
+            None => tails.push(y),
+        }
+    }
+    Ok(pairs.len() - tails.len())
+}
+
+/// The `(x, y)` cells of an OD's columns, rows with a null dropped.
+fn non_null_pairs<'r>(
+    relation: &'r Relation,
+    od: &OrderDep,
+) -> Result<Vec<(ValueRef<'r>, ValueRef<'r>)>> {
+    let (xs, ys) = (relation.column(od.lhs)?, relation.column(od.rhs)?);
+    Ok(xs
         .iter()
         .zip(ys.iter())
         .filter(|(x, y)| !x.is_null() && !y.is_null())
-        .collect();
-    pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    let seq: Vec<ValueRef<'_>> = pairs
-        .iter()
-        .map(|(_, y)| match od.direction {
-            OrderDirection::Ascending => *y,
-            OrderDirection::Descending => *y,
-        })
-        .collect();
-    // Longest non-decreasing (or non-increasing) subsequence length via
-    // patience sorting, O(n log n).
-    let keep = match od.direction {
-        OrderDirection::Ascending => longest_monotone(&seq, false),
-        OrderDirection::Descending => longest_monotone(&seq, true),
-    };
-    Ok(seq.len() - keep)
-}
-
-/// Length of the longest non-decreasing (or non-increasing when `rev`)
-/// subsequence.
-fn longest_monotone(seq: &[ValueRef<'_>], rev: bool) -> usize {
-    // tails[k] = smallest possible tail of a monotone subsequence of
-    // length k+1 (for non-decreasing; mirrored for non-increasing).
-    let mut tails: Vec<ValueRef<'_>> = Vec::new();
-    for &v in seq {
-        let pos = tails.partition_point(|&t| {
-            if rev {
-                t >= v // non-increasing: extendable while tail ≥ v
-            } else {
-                t <= v // non-decreasing: extendable while tail ≤ v
-            }
-        });
-        if pos == tails.len() {
-            tails.push(v);
-        } else {
-            tails[pos] = v;
-        }
-    }
-    tails.len()
+        .collect())
 }
 
 /// The approximate-OD error: `od_violations / non-null pairs` (0 iff the
-/// OD holds up to the deletion metric).
+/// OD holds).
 pub fn od_error(relation: &Relation, od: &OrderDep) -> Result<f64> {
-    let n = relation
-        .column(od.lhs)?
-        .iter()
-        .zip(relation.column(od.rhs)?.iter())
-        .filter(|(x, y)| !x.is_null() && !y.is_null())
-        .count();
+    let n = non_null_pairs(relation, od)?.len();
     if n == 0 {
         return Ok(0.0);
     }
@@ -192,14 +179,14 @@ pub fn od_error(relation: &Relation, od: &OrderDep) -> Result<f64> {
 }
 
 /// Discovers *approximate* order dependencies: pairs whose OD error is
-/// within `threshold` but that do not hold exactly. Mirrors the AFD
-/// relaxation of FDs (§IV-A) for the order class.
+/// within `threshold` but that do not hold exactly (an OD holds exactly
+/// iff its error is 0). Mirrors the AFD relaxation of FDs (§IV-A) for the
+/// order class.
 pub fn discover_approx_ods(
     relation: &Relation,
     threshold: f64,
     config: &OdConfig,
 ) -> Result<Vec<(OrderDep, f64)>> {
-    let exact = discover_ods(relation, config)?;
     let m = relation.arity();
     let mut out = Vec::new();
     for lhs in 0..m {
@@ -212,9 +199,6 @@ pub fn discover_approx_ods(
                 candidates.push(OrderDep::descending(lhs, rhs));
             }
             for od in candidates {
-                if exact.contains(&od) {
-                    continue;
-                }
                 let err = od_error(relation, &od)?;
                 if err > 0.0 && err <= threshold {
                     out.push((od, err));
@@ -229,7 +213,8 @@ pub fn discover_approx_ods(
 mod tests {
     use super::*;
     use mp_datasets::{echocardiogram, employee};
-    use mp_relation::{Attribute, Schema};
+    use mp_relation::{Attribute, Schema, Value};
+    use proptest::prelude::*;
 
     #[test]
     fn employee_ods() {
@@ -420,6 +405,72 @@ mod tests {
         for (od, err) in &approx {
             assert!(!exact.contains(od), "{od:?} is exact");
             assert!(*err > 0.0 && *err <= 0.1);
+        }
+    }
+
+    fn xy_rows(rows: &[(Option<i64>, Option<i64>)]) -> Relation {
+        let schema =
+            Schema::new(vec![Attribute::continuous("x"), Attribute::continuous("y")]).unwrap();
+        let cell = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+        Relation::from_rows(
+            schema,
+            rows.iter().map(|&(x, y)| vec![cell(x), cell(y)]).collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn x_ties_with_different_y_are_violations_in_either_row_order() {
+        for rows in [
+            [(Some(1), Some(1)), (Some(1), Some(2))],
+            [(Some(1), Some(2)), (Some(1), Some(1))],
+        ] {
+            let r = xy_rows(&rows);
+            for od in [OrderDep::ascending(0, 1), OrderDep::descending(0, 1)] {
+                assert!(!od.holds(&r).unwrap());
+                assert_eq!(od_violations(&r, &od).unwrap(), 1, "{od:?} on {rows:?}");
+                assert!((od_error(&r, &od).unwrap() - 0.5).abs() < 1e-12);
+            }
+        }
+    }
+
+    /// The definition: the most non-null rows a subset can keep while
+    /// [`OrderDep::holds`] is true on it, subtracted from all of them.
+    fn brute_force_violations(r: &Relation, od: &OrderDep) -> usize {
+        let (xs, ys) = (r.column(0).unwrap(), r.column(1).unwrap());
+        let rows: Vec<usize> = (0..r.n_rows())
+            .filter(|&i| !xs.is_null(i) && !ys.is_null(i))
+            .collect();
+        let kept = (0u32..1 << rows.len())
+            .filter_map(|mask| {
+                let subset: Vec<usize> = (0..rows.len())
+                    .filter(|&k| (mask >> k) & 1 == 1)
+                    .map(|k| rows[k])
+                    .collect();
+                let holds = od.holds(&r.select_rows(&subset).unwrap()).unwrap();
+                holds.then_some(subset.len())
+            })
+            .max()
+            .unwrap_or(0);
+        rows.len() - kept
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn od_violations_is_the_minimum_deletion_count(
+            rows in prop::collection::vec(
+                (prop::option::of(0i64..4), prop::option::of(0i64..4)),
+                0..=8,
+            ),
+        ) {
+            let r = xy_rows(&rows);
+            for od in [OrderDep::ascending(0, 1), OrderDep::descending(0, 1)] {
+                let violations = od_violations(&r, &od).unwrap();
+                prop_assert_eq!(violations, brute_force_violations(&r, &od), "{:?}", od);
+                prop_assert_eq!(violations == 0, od.holds(&r).unwrap(), "{:?}", od);
+            }
         }
     }
 }

@@ -1,11 +1,15 @@
 //! Pairwise ordered-functional-dependency discovery (§IV-E).
 //!
 //! An OFD `X → Y` is the conjunction of the FD and the strict order
-//! condition `t[X] < u[X] ⇒ t[Y] < u[Y]`; discovery checks every ordered
-//! attribute pair with [`OrderedFd::holds`]. Constant columns are excluded
-//! (an OFD onto a constant holds only for constant X and says nothing).
+//! condition `t[X] < u[X] ⇒ t[Y] < u[Y]`: along X sorted ascending, X-ties
+//! are Y-ties and Y strictly increases wherever X does. That is the strict
+//! flag of the OD pass's `order_sweep`, so OFDs cost one sort per
+//! determinant, shared by all its dependents. Constant columns are
+//! excluded on request (an OFD onto a constant holds only for constant X
+//! and says nothing).
 
 use crate::engine::{DiscoveryContext, ParallelConfig};
+use crate::od::{order_sweep, Monotone};
 use mp_metadata::OrderedFd;
 use mp_relation::{Relation, Result};
 
@@ -18,49 +22,23 @@ pub fn discover_ofds(relation: &Relation, exclude_constant: bool) -> Result<Vec<
     discover_ofds_with(&ctx, exclude_constant)
 }
 
-/// [`discover_ofds`] against a shared [`DiscoveryContext`]: the pairwise
-/// validations fan out over determinants on the context's thread budget,
-/// merged in determinant order.
+/// [`discover_ofds`] against a shared [`DiscoveryContext`]: the sweep fans
+/// out over determinants on the context's thread budget, merged in
+/// determinant order.
 pub fn discover_ofds_with(
     ctx: &DiscoveryContext<'_>,
     exclude_constant: bool,
 ) -> Result<Vec<OrderedFd>> {
-    let relation = ctx.relation();
-    let m = relation.arity();
-    let mut constant = vec![false; m];
-    if exclude_constant {
-        for (c, flag) in constant.iter_mut().enumerate() {
-            let col = relation.column(c)?;
-            let mut non_null = col.iter().filter(|v| !v.is_null());
-            *flag = match non_null.next() {
-                None => true,
-                Some(first) => non_null.all(|v| v == first),
-            };
-        }
-    }
-
-    let per_lhs: Vec<Result<Vec<OrderedFd>>> = ctx.par_map((0..m).collect(), |lhs| {
-        let mut out = Vec::new();
-        if constant[lhs] {
-            return Ok(out);
-        }
-        for (rhs, &rhs_constant) in constant.iter().enumerate() {
-            if rhs == lhs || rhs_constant {
-                continue;
-            }
-            let ofd = OrderedFd::new(lhs, rhs);
-            if ofd.holds(relation)? {
-                out.push(ofd);
-            }
-        }
-        Ok(out)
-    });
-
-    let mut out = Vec::new();
-    for found in per_lhs {
-        out.extend(found?);
-    }
-    Ok(out)
+    let strict = Monotone {
+        asc: false,
+        desc: false,
+        strict: true,
+    };
+    Ok(order_sweep(ctx, exclude_constant, strict)?
+        .into_iter()
+        .filter(|(_, _, held)| held.strict)
+        .map(|(lhs, rhs, _)| OrderedFd::new(lhs, rhs))
+        .collect())
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! One-call dependency profiling: every class the paper analyses.
 
-use crate::cfd::{discover_cfds, CfdConfig};
+use crate::cfd::{discover_cfds_with, CfdConfig};
 use crate::dd::{discover_dds_with, DdConfig};
 use crate::engine::DiscoveryContext;
-use crate::mfd::{discover_mfds, MfdConfig};
+use crate::mfd::{discover_mfds_with, MfdConfig};
 use crate::nd::{discover_nds_with, NdConfig};
 use crate::od::{discover_ods_with, OdConfig};
 use crate::ofd::discover_ofds_with;
@@ -82,21 +82,22 @@ impl DependencyProfile {
     /// Runs every configured discovery pass.
     ///
     /// A [`DiscoveryContext`] is created from `config.fd.parallel` and
-    /// shared by every pass, so PLIs built during FD discovery are reused
-    /// by the AFD, OD and ND passes. Use [`DependencyProfile::discover_with`]
-    /// to supply (and inspect) the context yourself.
+    /// shared by every pass, so the single-attribute PLIs built during FD
+    /// discovery are reused by the AFD, ND, CFD and MFD passes. Use
+    /// [`DependencyProfile::discover_with`] to supply (and inspect) the
+    /// context yourself.
     pub fn discover(relation: &Relation, config: &ProfileConfig) -> Result<Self> {
         let ctx = DiscoveryContext::new(relation, config.fd.parallel);
         Self::discover_with(&ctx, config)
     }
 
     /// [`DependencyProfile::discover`] against a caller-supplied
-    /// [`DiscoveryContext`]. All passes draw single-attribute and lattice
-    /// PLIs from the context's shared cache and fan out on its thread
-    /// budget; afterwards `ctx.cache_stats()` reports the cross-pass hit
-    /// rate.
+    /// [`DiscoveryContext`]. All eight passes read the context: the
+    /// partition passes draw single-attribute and lattice PLIs from its
+    /// shared cache, the order passes sort its typed columns, and every
+    /// pass fans out on its thread budget. Afterwards `ctx.cache_stats()`
+    /// reports the cross-pass hit rate.
     pub fn discover_with(ctx: &DiscoveryContext<'_>, config: &ProfileConfig) -> Result<Self> {
-        let relation = ctx.relation();
         // One span per pass. Durations are logical units — one unit per
         // partition the context materialises — so they answer "which pass
         // did the partition work" deterministically, not wall time.
@@ -155,14 +156,14 @@ impl DependencyProfile {
         let cfds = match &config.cfd {
             Some(cfg) => {
                 let _g = span("cfds").enter();
-                discover_cfds(relation, cfg)?
+                discover_cfds_with(ctx, cfg)?
             }
             None => Vec::new(),
         };
         let mfds = match &config.mfd {
             Some(cfg) => {
                 let _g = span("mfds").enter();
-                discover_mfds(relation, cfg)?
+                discover_mfds_with(ctx, cfg)?
             }
             None => Vec::new(),
         };
